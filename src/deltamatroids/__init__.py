@@ -26,7 +26,6 @@ from .duality import (
 )
 from .gf2 import (
     SymmetricBinaryMatrix,
-    delta_matroid_of_matrix,
     is_basic_binary,
     is_binary,
     reconstruct_basic_matrix,
@@ -59,7 +58,6 @@ __all__ = [
     "check_symmetric_exchange",
     "circle_obstructions",
     "delta_matroid_of_graph",
-    "delta_matroid_of_matrix",
     "dual_pivot",
     "find_catalog_3_minor",
     "find_circle_obstructions",

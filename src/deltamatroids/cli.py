@@ -160,6 +160,8 @@ def _cmd_obstructions(args) -> int:
 
 def _cmd_verify(args) -> int:
     jobs = args.jobs
+    # Without --seed each seeded suite keeps its own library default.
+    seeded = {} if args.seed is None else {"seed": args.seed}
     if args.suite == "all":
         reports = verify_mod.verify_all(jobs=jobs)
     elif args.suite == "main-theorem":
@@ -169,11 +171,11 @@ def _cmd_verify(args) -> int:
     elif args.suite == "identities":
         reports = [verify_mod.verify_identities()]
     elif args.suite == "interactions":
-        reports = [verify_mod.verify_interactions(args.trials or 10000, args.seed, jobs=jobs)]
+        reports = [verify_mod.verify_interactions(args.trials or 10000, jobs=jobs, **seeded)]
     elif args.suite == "ppt":
-        reports = [verify_mod.verify_ppt(args.trials or 1000, args.max_n or 8, args.seed, jobs=jobs)]
+        reports = [verify_mod.verify_ppt(args.trials or 1000, args.max_n or 8, jobs=jobs, **seeded)]
     elif args.suite == "graph-bridge":
-        reports = [verify_mod.verify_graph_bridge(args.trials or 1000, args.seed, jobs=jobs)]
+        reports = [verify_mod.verify_graph_bridge(args.trials or 1000, jobs=jobs, **seeded)]
     elif args.suite == "binary-corollary":
         reports = [verify_mod.verify_binary_corollary(args.max_n or 3)]
     elif args.suite == "circle-obstructions":
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(verify_mod.SUITE_DEFAULTS) + ["all"])
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=None, help="default: the suite's own seed")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 

@@ -1,8 +1,19 @@
 """Symmetric matrices over GF(2), principal pivoting, and binary recognition.
 
-Rows are stored as bitmasks over the column positions.  Determinants use
-Gaussian elimination with XOR row updates; the empty matrix counts as
-nonsingular so that the empty set is always feasible below.
+Rows are stored as bitmasks over the column positions.  A single
+determinant uses Gaussian elimination with XOR row updates; the empty
+matrix counts as nonsingular so that the empty set is always feasible
+below.
+
+All 2^n principal determinants are found at once by a Schur-complement
+recursion (Griffin & Tsatsomeros, "Principal minors, Part I", 2006) that
+peels off the last index i.  Subsets without i are the principal minors of
+the leading block.  Subsets Y + i are those of the Schur complement at i,
+whose row j is row_j + A_ji * row_i.  Over GF(2) a zero pivot A_ii needs no
+2x2 block pivot: det is linear in one diagonal entry, so
+det A[Y+i] = det A'[Y+i] + det A[Y] with A' equal to A except A'_ii = 1.
+The recursion only eliminates; it does not pivot with ``ppt``, because the
+ppt suite checks the pivoting identity D(A*X) = D(A) * X against it.
 """
 
 from __future__ import annotations
@@ -40,6 +51,28 @@ def _compress(row: int, positions: Sequence[int]) -> int:
         if row >> p & 1:
             out |= 1 << j
     return out
+
+
+def _principal_minors(rows: Sequence[int], k: int) -> int:
+    """All principal determinants of the leading k x k block of a matrix
+    given as row bitmasks, as one 2^k-bit integer whose bit s is det A[s].
+
+    Only rows and columns below k are read, so neither the leading block
+    nor the Schur complement needs its higher bits masked off.
+    """
+    if k == 0:
+        return 1
+    if k == 1:
+        return 1 | (rows[0] & 1) << 1
+    i = k - 1
+    bit = 1 << i
+    pivot = rows[i]
+    low = _principal_minors(rows, i)
+    high = _principal_minors([row ^ pivot if row & bit else row for row in rows[:i]], i)
+    if not pivot & bit:
+        high ^= low
+    # Subsets containing i are the upper 2^i bits; 2^i is also `bit`.
+    return low | high << bit
 
 
 @dataclass(frozen=True)
@@ -105,18 +138,13 @@ class SymmetricBinaryMatrix:
 
     def feasible_masks(self) -> tuple[int, ...]:
         """Masks of all nonsingular principal submatrices (the empty one
-        included)."""
-        n = self.size
-        rows = self.rows
-        out = []
-        for x in range(1 << n):
-            positions = [i for i in range(n) if x >> i & 1]
-            sub = [_compress(rows[p], positions) for p in positions]
-            if det_gf2(sub, len(positions)):
-                out.append(x)
-        return tuple(out)
+        included), in increasing order."""
+        dets = _principal_minors(self.rows, self.size)
+        return tuple(x for x in range(1 << self.size) if dets >> x & 1)
 
     def delta_matroid(self) -> SetSystem:
+        """Feasible sets are the index sets of nonsingular principal
+        submatrices; always normal."""
         return SetSystem(self.labels, self.feasible_masks())
 
     def ppt(self, subset: SubsetLike) -> SymmetricBinaryMatrix:
@@ -203,12 +231,6 @@ def _matmul_gf2(a: Sequence[int], b: Sequence[int]) -> list[int]:
             j += 1
         out.append(acc)
     return out
-
-
-def delta_matroid_of_matrix(matrix: SymmetricBinaryMatrix) -> SetSystem:
-    """Feasible sets are the index sets of nonsingular principal
-    submatrices; always normal."""
-    return matrix.delta_matroid()
 
 
 def reconstruct_basic_matrix(system: SetSystem) -> SymmetricBinaryMatrix:

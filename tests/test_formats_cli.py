@@ -147,6 +147,11 @@ def test_verify_jobs_matches_serial(capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_verify_without_seed_uses_suite_default(capsys):
+    assert main(["verify", "ppt", "--trials", "5"]) == 0
+    assert "seed=11" in capsys.readouterr().out
+
+
 def test_check_skips_over_guard_fields(tmp_path, capsys):
     labels = [f"x{i}" for i in range(13)]
     p = tmp_path / "big.json"

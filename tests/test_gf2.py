@@ -89,6 +89,24 @@ def test_ppt_examples():
         swap.ppt(["1"])  # singular pivot block
 
 
+def _feasible_by_elimination(m):
+    return tuple(x for x in range(1 << m.size) if m.principal_nonsingular(x))
+
+
+def test_feasible_masks_match_elimination_exhaustive_small():
+    for n in range(0, 5):
+        for m in all_symmetric(n):
+            assert m.feasible_masks() == _feasible_by_elimination(m)
+
+
+def test_feasible_masks_match_elimination_random():
+    rng = random.Random(9)
+    for n in range(5, 11):
+        for _ in range(40):
+            m = random_symmetric(rng, n)
+            assert m.feasible_masks() == _feasible_by_elimination(m)
+
+
 def test_delta_matroid_of_matrix_examples():
     assert matrix("1", "1").delta_matroid() == SetSystem(("1",), (0, 1))
     assert matrix("12", "01", "10").delta_matroid() == SetSystem(("1", "2"), (0, 3))
