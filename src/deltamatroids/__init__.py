@@ -34,9 +34,7 @@ from .graphs import (
     ChordDiagram,
     LoopedSimpleGraph,
     circle_obstructions,
-    delta_matroid_of_graph,
     find_circle_obstructions,
-    interlacement_graph,
     is_circle_graph,
     is_ribbon_graphic,
     is_vertex_minor,
@@ -57,13 +55,11 @@ __all__ = [
     "catalog",
     "check_symmetric_exchange",
     "circle_obstructions",
-    "delta_matroid_of_graph",
     "dual_pivot",
     "find_catalog_3_minor",
     "find_circle_obstructions",
     "formats",
     "has_catalog_3_minor",
-    "interlacement_graph",
     "is_basic_binary",
     "is_binary",
     "is_circle_graph",

@@ -8,6 +8,7 @@ stdout; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -159,31 +160,17 @@ def _cmd_obstructions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    # Without --seed each seeded suite keeps its own library default.
-    seeded = {} if args.seed is None else {"seed": args.seed}
-    if args.suite == "all":
-        reports = verify_mod.verify_all(jobs=jobs)
-    elif args.suite == "main-theorem":
-        reports = [verify_mod.verify_main_theorem(args.max_n or 3)]
-    elif args.suite == "tables":
-        reports = [verify_mod.verify_tables()]
-    elif args.suite == "identities":
-        reports = [verify_mod.verify_identities()]
-    elif args.suite == "interactions":
-        reports = [verify_mod.verify_interactions(args.trials or 10000, jobs=jobs, **seeded)]
-    elif args.suite == "ppt":
-        reports = [verify_mod.verify_ppt(args.trials or 1000, args.max_n or 8, jobs=jobs, **seeded)]
-    elif args.suite == "graph-bridge":
-        reports = [verify_mod.verify_graph_bridge(args.trials or 1000, jobs=jobs, **seeded)]
-    elif args.suite == "binary-corollary":
-        reports = [verify_mod.verify_binary_corollary(args.max_n or 3)]
-    elif args.suite == "circle-obstructions":
-        reports = [verify_mod.verify_circle_obstructions(args.max_n or 6)]
-    elif args.suite == "rg-consistency":
-        reports = [verify_mod.verify_rg_consistency(args.max_n or 6, jobs=jobs)]
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
+    """Run a suite with the options given; an option the suite does not
+    take is a usage error, and one not given keeps the suite's default."""
+    suite = verify_mod.verify_all if args.suite == "all" else verify_mod.SUITE_DEFAULTS[args.suite]
+    takes = inspect.signature(suite).parameters
+    given = {opt: getattr(args, opt) for opt in ("max_n", "trials", "seed", "jobs")
+             if getattr(args, opt) is not None}
+    unused = [f"--{opt.replace('_', '-')}" for opt in given if opt not in takes]
+    if unused:
+        raise UsageError(f"suite {args.suite!r} does not take {', '.join(unused)}")
+    result = suite(**given)
+    reports = result if isinstance(result, list) else [result]
     failed = False
     for report in reports:
         for line in report.lines():
@@ -224,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="default: the suite's own seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None, help="default: 1")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("obstructions", help="print derived obstruction graphs")

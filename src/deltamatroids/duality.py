@@ -11,8 +11,9 @@ from .exchange import is_delta_matroid_cached
 from .setsystem import (
     SetSystem,
     SubsetLike,
-    UnrealizableMinorError,
+    _apply_perm,
     canonical_key,
+    indicator,
 )
 
 ORBIT_GUARD = 8  # closure size is bounded by 6^n labeled systems
@@ -126,6 +127,7 @@ def is_vf_safe(system: SetSystem) -> bool:
 def clear_duality_caches() -> None:
     _vf_cache.clear()
     _catalog_key_cache.clear()
+    _catalog_by_identity.clear()
 
 
 # ----------------------------------------------------------------------
@@ -142,20 +144,64 @@ class MinorMatch:
     catalog_index: int
 
 
-_catalog_key_cache: dict[tuple, dict] = {}
+class _CatalogIndex:
+    """Catalog entries prepared for matching three-operation minors.
+
+    keys maps each canonical key to the first entry index carrying it.
+    table(n, kept) is the set of indicators of every labeling of every
+    entry with |kept| elements, placed on the kept positions of an
+    n-element ground set, so a minor's indicator from
+    SetSystem.iter_three_minors is matched without canonicalizing it.
+    """
+
+    def __init__(self, entries: Sequence[SetSystem]) -> None:
+        self.keys: dict[tuple, int] = {}
+        self.labelings: dict[int, set[tuple[int, ...]]] = {}
+        for i, e in enumerate(entries):
+            self.keys.setdefault(canonical_key(e), i)
+            self.labelings.setdefault(e.size, set()).update(
+                _apply_perm(e.feasible, p) for p in itertools.permutations(range(e.size))
+            )
+        self.sizes = frozenset(self.labelings)
+        self._tables: dict[tuple[int, int], frozenset[int]] = {}
+        self.source: tuple | None = None
+
+    def table(self, n: int, kept: int) -> frozenset[int]:
+        hit = self._tables.get((n, kept))
+        if hit is not None:
+            return hit
+        positions = [i for i in range(n) if kept >> i & 1]
+        spread = [
+            sum(1 << p for j, p in enumerate(positions) if m >> j & 1)
+            for m in range(1 << len(positions))
+        ]
+        table = frozenset(
+            indicator(spread[m] for m in feasible)
+            for feasible in self.labelings.get(len(positions), ())
+        )
+        self._tables[(n, kept)] = table
+        return table
 
 
-def _catalog_index(entries: Sequence[SetSystem]) -> dict:
-    """Map canonical keys of the entries to their first index, by size."""
+_catalog_key_cache: dict[tuple, _CatalogIndex] = {}
+# An index also remembers the first tuple of entries it was asked for (such
+# as catalog.s3_twisted_duals()) and is found again by that tuple's
+# identity: a tuple is immutable, and holding it keeps its id from reuse.
+_catalog_by_identity: dict[int, _CatalogIndex] = {}
+
+
+def _catalog_index(entries: Sequence[SetSystem]) -> _CatalogIndex:
+    """The index of the entries, cached by content."""
+    index = _catalog_by_identity.get(id(entries))
+    if index is not None and index.source is entries:
+        return index
     cache_key = tuple((e.size, e.feasible) for e in entries)
-    hit = _catalog_key_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    by_key: dict[tuple, int] = {}
-    for i, e in enumerate(entries):
-        by_key.setdefault(canonical_key(e), i)
-    index = {"keys": by_key, "sizes": {e.size for e in entries}}
-    _catalog_key_cache[cache_key] = index
+    index = _catalog_key_cache.get(cache_key)
+    if index is None:
+        index = _catalog_key_cache[cache_key] = _CatalogIndex(entries)
+    if isinstance(entries, tuple) and index.source is None:
+        index.source = entries
+        _catalog_by_identity[id(entries)] = index
     return index
 
 
@@ -165,35 +211,18 @@ def find_catalog_3_minor(
     """First three-operation minor isomorphic to a catalog entry, if any.
 
     Assignments of elements to keep / delete / contract / penrose are
-    scanned in a fixed order, so the witness is deterministic.  Minors
-    whose ground size matches no entry are skipped without evaluation.
+    scanned in itertools.product(range(4), repeat=n) order (see
+    SetSystem.iter_three_minors), so the witness is deterministic.
+    Minors whose ground size matches no entry are never formed.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
     index = _catalog_index(entries)
-    sizes = index["sizes"]
-    keys = index["keys"]
     n = system.size
-    for assign in itertools.product(range(4), repeat=n):
-        x = y = z = 0
-        survivors = n
-        for i, role in enumerate(assign):
-            if role:
-                survivors -= 1
-                if role == 1:
-                    x |= 1 << i
-                elif role == 2:
-                    y |= 1 << i
-                else:
-                    z |= 1 << i
-        if survivors not in sizes:
-            continue
-        try:
-            m = system.three_minor(x, y, z)
-        except UnrealizableMinorError:
-            continue
-        idx = keys.get(canonical_key(m))
-        if idx is not None:
+    full = system.full_mask
+    for x, y, z, leaf in system.iter_three_minors(index.sizes):
+        if leaf in index.table(n, full & ~(x | y | z)):
+            idx = index.keys[canonical_key(system.three_minor(x, y, z))]
             return MinorMatch(x, y, z, idx)
     return None
 

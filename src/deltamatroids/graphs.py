@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import catalog
-from .duality import _labeled_closure, orbit
+from .duality import _catalog_index, _labeled_closure, orbit
 from .gf2 import SymmetricBinaryMatrix
-from .setsystem import SetSystem, UnrealizableMinorError, canonical_key, popcount
+from .setsystem import SetSystem, _apply_perm, popcount
 
 CIRCLE_GUARD = 9
 VERTEX_MINOR_GUARD = 9
@@ -164,10 +164,6 @@ class LoopedSimpleGraph:
 
     def delta_matroid(self) -> SetSystem:
         return self.adjacency_matrix().delta_matroid()
-
-
-def delta_matroid_of_graph(graph: LoopedSimpleGraph) -> SetSystem:
-    return graph.delta_matroid()
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +366,6 @@ class ChordDiagram:
                 adj[idx[a]] |= 1 << idx[b]
                 adj[idx[b]] |= 1 << idx[a]
         return LoopedSimpleGraph(names, tuple(adj), 0)
-
-
-def interlacement_graph(diagram: ChordDiagram) -> LoopedSimpleGraph:
-    return diagram.interlacement_graph()
 
 
 def _circle_word_search(n: int, adj: Sequence[int], collect: bool) -> tuple[str, ...] | None:
@@ -607,55 +599,35 @@ class _IsoFamilyTester:
         feas = system.feasible
         if self._profile(feas) not in self.profiles:
             return False
-        for perm in itertools.permutations(range(n)):
-            remapped = []
-            for m in feas:
-                r = 0
-                i = 0
-                while m:
-                    if m & 1:
-                        r |= 1 << perm[i]
-                    m >>= 1
-                    i += 1
-                remapped.append(r)
-            remapped.sort()
-            if tuple(remapped) in self.families:
-                return True
-        return False
+        return any(
+            _apply_perm(feas, perm) in self.families
+            for perm in itertools.permutations(range(n))
+        )
 
 
-class _CanonSetTester:
-    """Membership test against a precomputed set of canonical keys."""
-
-    def __init__(self, size: int, keys: frozenset) -> None:
-        self.size = size
-        self.keys = keys
-
-    def matches(self, system: SetSystem) -> bool:
-        return system.size == self.size and canonical_key(system) in self.keys
+_ribbon_testers: dict[int, tuple] = {}
 
 
-_ribbon_testers: dict[int, list] = {}
-
-
-def _ribbon_obstruction_testers(max_size: int) -> list:
-    """Testers for the obstruction classes with at most max_size elements:
-    the twisted duals of B1 and S3, and of the delta-matroids of the
-    derived circle obstructions."""
+def _ribbon_obstruction_testers(max_size: int):
+    """The obstruction classes with at most max_size elements: their sizes,
+    an index of the twisted duals of B1 and S3, and testers by size for
+    the classes of the delta-matroids of the derived circle obstructions."""
     hit = _ribbon_testers.get(max_size)
     if hit is not None:
         return hit
-    small_keys = set()
-    for name in ("B1", "S3"):
-        for member in orbit(catalog.get(name), up_to_iso=True).members:
-            small_keys.add(canonical_key(member))
-    testers: list = [_CanonSetTester(3, frozenset(small_keys))]
+    small = tuple(
+        member
+        for name in ("B1", "S3")
+        for member in orbit(catalog.get(name), up_to_iso=True).members
+    )
+    by_size: dict[int, list[_IsoFamilyTester]] = {}
     for g in circle_obstructions():
         d = g.delta_matroid()
         if d.size <= max_size:
-            testers.append(_IsoFamilyTester(d))
-    _ribbon_testers[max_size] = testers
-    return testers
+            by_size.setdefault(d.size, []).append(_IsoFamilyTester(d))
+    index = _catalog_index(small)
+    hit = _ribbon_testers[max_size] = (index.sizes.union(by_size), index, by_size)
+    return hit
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:
@@ -670,28 +642,17 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
     n = system.size
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
-    testers = _ribbon_obstruction_testers(n)
-    sizes = {t.size for t in testers}
-    for assign in itertools.product(range(4), repeat=n):
-        x = y = z = 0
-        survivors = n
-        for i, role in enumerate(assign):
-            if role:
-                survivors -= 1
-                if role == 1:
-                    x |= 1 << i
-                elif role == 2:
-                    y |= 1 << i
-                else:
-                    z |= 1 << i
-        if survivors not in sizes:
-            continue
-        try:
-            m = system.three_minor(x, y, z)
-        except UnrealizableMinorError:
-            continue
-        if any(t.size == survivors and t.matches(m) for t in testers):
+    sizes, small, by_size = _ribbon_obstruction_testers(n)
+    full = system.full_mask
+    for x, y, z, leaf in system.iter_three_minors(sizes):
+        kept = full & ~(x | y | z)
+        if leaf in small.table(n, kept):
             return False
+        testers = by_size.get(kept.bit_count())
+        if testers:
+            m = system.three_minor(x, y, z)
+            if any(t.matches(m) for t in testers):
+                return False
     return True
 
 

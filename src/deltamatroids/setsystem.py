@@ -4,6 +4,21 @@ A set system is a finite ground set together with a family of feasible
 subsets.  Subsets are stored as bitmasks over the ground-set order, the
 family as a sorted tuple of masks, so equality and hashing are cheap and
 every operation is a pure function returning a new value.
+
+Scans over three-operation minors work on the family's indicator, the
+2^n-bit integer v with bit F set iff F is feasible.  With M_i the
+indicator of the subsets that avoid element i, removing i is one of
+three GF(2)-linear maps:
+
+    delete    v & M_i
+    contract  (v >> 2^i) & M_i
+    penrose   (v & M_i) ^ ((v >> 2^i) & M_i)
+
+so a minor keeps the original positions of its surviving elements, a
+zero indicator marks an unrealizable minor (and every minor below it),
+and SetSystem.iter_three_minors walks all role assignments as one tree
+whose subtrees share their common prefix.  three_minor is the closed form
+the walk agrees with.
 """
 
 from __future__ import annotations
@@ -11,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_GROUND = 24
@@ -48,13 +64,28 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+popcount = int.bit_count
 
 
-# When enabled, loop_complement cross-checks the per-element fold against
-# the direct parity definition on every call (exponential; tests only).
-paranoid_loop_complement = False
+def indicator(masks: Iterable[int]) -> int:
+    """The family as one integer: bit F is set iff F is among the masks."""
+    v = 0
+    for m in masks:
+        v |= 1 << m
+    return v
+
+
+@lru_cache(maxsize=None)
+def _walk_plan(n: int, sizes: frozenset[int] | None):
+    """Per-element avoid masks M_i, and which (decided, removed) counts can
+    still end at an allowed minor size (all sizes when None)."""
+    avoid = tuple(indicator(f for f in range(1 << n) if not f >> i & 1) for i in range(n))
+    removals = range(n + 1) if sizes is None else [n - s for s in sizes if 0 <= s <= n]
+    viable = tuple(
+        tuple(any(r <= t <= r + n - i for t in removals) for r in range(i + 1))
+        for i in range(n + 1)
+    )
+    return avoid, viable, max(removals, default=-1)
 
 
 @dataclass(frozen=True)
@@ -165,10 +196,7 @@ class SetSystem:
         fam = set(self.feasible)
         for bit in iter_bits(a):
             fam ^= {m | bit for m in fam if not m & bit}
-        out = SetSystem(self.labels, tuple(sorted(fam)))
-        if paranoid_loop_complement and self.size <= 12:
-            assert out == self.loop_complement_by_parity(a)
-        return out
+        return SetSystem(self.labels, tuple(sorted(fam)))
 
     def loop_complement_by_parity(self, subset: SubsetLike) -> SetSystem:
         """Direct parity form: F is feasible in S+A iff the number of
@@ -318,37 +346,71 @@ class SetSystem:
                 raise ValueError("sequence left an improper system")
         return s
 
+    def iter_three_minors(
+        self, sizes: frozenset[int] | None = None
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Every realizable three-operation minor as (X, Y, Z, leaf).
+
+        X, Y, Z are the delete / contract / penrose masks and leaf is the
+        indicator of three_minor(X, Y, Z) on the original positions of the
+        kept elements.  Elements are decided in index order, each kept,
+        deleted, contracted, then penrose-contracted, so the assignments
+        come in itertools.product(range(4), repeat=n) order.  A zero
+        indicator prunes its subtree; with sizes given, subtrees that
+        cannot end at one of those ground sizes are skipped.
+        """
+        n = self.size
+        avoid, viable, last = _walk_plan(n, sizes)
+        root = indicator(self.feasible)
+        if not root or not viable[0][0]:
+            return
+        stack = [(0, 0, root, 0, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            i, r, v, x, y, z = pop()
+            if i == n or r == last:  # the remaining elements are all kept
+                yield x, y, z, v
+                continue
+            j = i + 1
+            # children are pushed in reverse so they pop keep-first
+            if viable[j][r + 1]:
+                bit = 1 << i
+                m = avoid[i]
+                d = v & m
+                c = (v >> bit) & m
+                p = d ^ c
+                if p:
+                    push((j, r + 1, p, x, y, z | bit))
+                if c:
+                    push((j, r + 1, c, x, y | bit, z))
+                if d:
+                    push((j, r + 1, d, x | bit, y, z))
+            if viable[j][r]:
+                push((j, r, v, x, y, z))
+
     def enumerate_three_minors(self, include_self: bool = True) -> list[SetSystem]:
         """All realizable three-operation minors, one per isomorphism class.
 
-        Iterates every assignment of elements to delete / contract /
-        penrose / keep and collects the closed-form results, deduplicated
-        by canonical form.  The empty assignment (the system itself) is
-        included iff include_self.
+        Walks every assignment of elements to keep / delete / contract /
+        penrose (see iter_three_minors) and collects the closed-form
+        results in first-occurrence order, deduplicated by canonical form.
+        The empty assignment (the system itself) is included iff
+        include_self.
         """
         if not self.is_proper:
             raise ValueError("requires a proper system")
-        seen: dict[tuple, SetSystem] = {}
+        seen_leaves: set[tuple[int, int]] = set()
+        seen_keys: set[tuple] = set()
         out: list[SetSystem] = []
-        n = self.size
-        for assign in itertools.product(range(4), repeat=n):
-            x = y = z = 0
-            for i, role in enumerate(assign):
-                if role == 1:
-                    x |= 1 << i
-                elif role == 2:
-                    y |= 1 << i
-                elif role == 3:
-                    z |= 1 << i
-            if not include_self and not (x | y | z):
+        for x, y, z, leaf in self.iter_three_minors():
+            removed = x | y | z
+            if not (include_self or removed) or (removed, leaf) in seen_leaves:
                 continue
-            try:
-                m = self.three_minor(x, y, z)
-            except UnrealizableMinorError:
-                continue
+            seen_leaves.add((removed, leaf))
+            m = self.three_minor(x, y, z)
             key = canonical_key(m)
-            if key not in seen:
-                seen[key] = m
+            if key not in seen_keys:
+                seen_keys.add(key)
                 out.append(m)
         return out
 

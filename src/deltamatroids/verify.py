@@ -113,7 +113,7 @@ def _random_loopless_graph(rng: random.Random, n: int) -> LoopedSimpleGraph:
 # ----------------------------------------------------------------------
 
 
-def verify_main_theorem(max_n: int = 3, jobs: int = 1) -> VerificationReport:
+def verify_main_theorem(max_n: int = 3) -> VerificationReport:
     """Orbit-based vf-safety agrees with the 28-obstruction form on every
     proper system with 3 (and optionally 4) labeled elements."""
 
@@ -361,7 +361,7 @@ def verify_graph_bridge(trials: int = 1000, seed: int = 13, jobs: int = 1) -> Ve
     return _run(f"graph-bridge(trials={trials}, seed={seed})", body)
 
 
-def verify_binary_corollary(max_n: int = 3, jobs: int = 1) -> VerificationReport:
+def verify_binary_corollary(max_n: int = 3) -> VerificationReport:
     """Binary recognition of delta-matroids agrees with obstruction form
     (no three-operation minor among the twisted duals of B1 or S3), and
     binary implies vf-safe."""
@@ -369,8 +369,7 @@ def verify_binary_corollary(max_n: int = 3, jobs: int = 1) -> VerificationReport
     def body(report: VerificationReport) -> None:
         from .gf2 import is_binary
 
-        entries = list(orbit(catalog.get("B1"), up_to_iso=True).members)
-        entries += list(catalog.s3_twisted_duals())
+        entries = orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals()
         dm_count = 0
         for n in range(0, max_n + 1):
             for system in _all_proper_systems(n):

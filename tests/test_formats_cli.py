@@ -152,6 +152,17 @@ def test_verify_without_seed_uses_suite_default(capsys):
     assert "seed=11" in capsys.readouterr().out
 
 
+def test_verify_rejects_options_the_suite_does_not_take(capsys):
+    assert main(["verify", "identities", "--seed", "3", "--trials", "5", "--max-n", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "error: suite 'identities' does not take --max-n, --trials, --seed" in err
+    for argv in (["main-theorem", "--jobs", "2"], ["binary-corollary", "--seed", "1"],
+                 ["circle-obstructions", "--trials", "4"], ["all", "--max-n", "3"]):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"does not take {argv[1]}" in captured.err
+
+
 def test_check_skips_over_guard_fields(tmp_path, capsys):
     labels = [f"x{i}" for i in range(13)]
     p = tmp_path / "big.json"
