@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
     take is a usage error, and one not given keeps the suite's default."""
     suite = verify_mod.verify_all if args.suite == "all" else verify_mod.SUITE_DEFAULTS[args.suite]
     takes = inspect.signature(suite).parameters
-    given = {opt: getattr(args, opt) for opt in ("max_n", "trials", "seed", "jobs")
+    given = {opt: getattr(args, opt) for opt in ("max_n", "trials", "seed")
              if getattr(args, opt) is not None}
     unused = [f"--{opt.replace('_', '-')}" for opt in given if opt not in takes]
     if unused:
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="default: the suite's own seed")
-    p.add_argument("--jobs", type=int, default=None, help="default: 1")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("obstructions", help="print derived obstruction graphs")

@@ -124,12 +124,6 @@ def is_vf_safe(system: SetSystem) -> bool:
     return safe
 
 
-def clear_duality_caches() -> None:
-    _vf_cache.clear()
-    _catalog_key_cache.clear()
-    _catalog_by_identity.clear()
-
-
 # ----------------------------------------------------------------------
 # catalog membership over three-operation minors
 

@@ -64,10 +64,6 @@ def is_delta_matroid_cached(system: SetSystem) -> bool:
     return hit
 
 
-def clear_exchange_cache() -> None:
-    _se_cache.clear()
-
-
 def is_normal(system: SetSystem) -> bool:
     """The empty set is feasible."""
     if not system.is_proper:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exchange import is_delta_matroid
 from .setsystem import SetSystem, SubsetLike
 
 
@@ -269,12 +268,13 @@ def is_basic_binary(system: SetSystem) -> bool:
 def is_binary(system: SetSystem) -> bool:
     """Is the system a twist of a basic binary delta-matroid?
 
-    Only delta-matroids can be binary; failing the exchange axiom returns
-    False.  Otherwise one twist at the least feasible set decides: a
-    binary delta-matroid twisted onto any feasible set is basic binary.
+    One twist at the least feasible set decides: a binary delta-matroid
+    twisted onto any feasible set is basic binary.  No separate exchange
+    check is needed: D(A) of a symmetric matrix is always a delta-matroid
+    (Bouchet, "Representability of Delta-matroids", 1988) and a twist of a
+    delta-matroid is one, so a system failing the exchange axiom has no
+    basic binary twist and comes out False here.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
-    if not is_delta_matroid(system):
-        return False
     return is_basic_binary(system.twist(system.feasible[0]))

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import catalog
-from .duality import _catalog_index, _labeled_closure, orbit
+from .duality import _CatalogIndex, _catalog_index, _labeled_closure, orbit
 from .gf2 import SymmetricBinaryMatrix
 from .setsystem import SetSystem, _apply_perm, popcount
 
@@ -285,13 +286,6 @@ def is_graph_isomorphic(g: LoopedSimpleGraph, h: LoopedSimpleGraph) -> bool:
     if sorted(map(popcount, g.adj)) != sorted(map(popcount, h.adj)):
         return False
     return graph_canonical_key(g) == graph_canonical_key(h)
-
-
-def clear_graph_caches() -> None:
-    _graph_canon_cache.clear()
-    _circle_cache.clear()
-    _connected_cache.clear()
-    _ribbon_testers.clear()
 
 
 # ----------------------------------------------------------------------
@@ -605,29 +599,21 @@ class _IsoFamilyTester:
         )
 
 
-_ribbon_testers: dict[int, tuple] = {}
-
-
-def _ribbon_obstruction_testers(max_size: int):
-    """The obstruction classes with at most max_size elements: their sizes,
-    an index of the twisted duals of B1 and S3, and testers by size for
-    the classes of the delta-matroids of the derived circle obstructions."""
-    hit = _ribbon_testers.get(max_size)
-    if hit is not None:
-        return hit
-    small = tuple(
+@lru_cache(maxsize=1)
+def _small_obstruction_index() -> _CatalogIndex:
+    """The index of the twisted duals of B1 and S3."""
+    return _catalog_index(tuple(
         member
         for name in ("B1", "S3")
         for member in orbit(catalog.get(name), up_to_iso=True).members
-    )
-    by_size: dict[int, list[_IsoFamilyTester]] = {}
-    for g in circle_obstructions():
-        d = g.delta_matroid()
-        if d.size <= max_size:
-            by_size.setdefault(d.size, []).append(_IsoFamilyTester(d))
-    index = _catalog_index(small)
-    hit = _ribbon_testers[max_size] = (index.sizes.union(by_size), index, by_size)
-    return hit
+    ))
+
+
+@lru_cache(maxsize=None)
+def _circle_class_testers(size: int) -> tuple[_IsoFamilyTester, ...]:
+    """Testers of the classes of the delta-matroids of the circle
+    obstructions with size vertices; each is built once per process."""
+    return tuple(_IsoFamilyTester(g.delta_matroid()) for g in circle_obstructions() if g.size == size)
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:
@@ -642,13 +628,15 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
     n = system.size
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
-    sizes, small, by_size = _ribbon_obstruction_testers(n)
+    small = _small_obstruction_index()
+    by_size = {k: _circle_class_testers(k) for k in range(n + 1)}
+    sizes = small.sizes.union(k for k in by_size if by_size[k])
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(sizes):
         kept = full & ~(x | y | z)
         if leaf in small.table(n, kept):
             return False
-        testers = by_size.get(kept.bit_count())
+        testers = by_size[kept.bit_count()]
         if testers:
             m = system.three_minor(x, y, z)
             if any(t.matches(m) for t in testers):

@@ -463,7 +463,3 @@ def canonical_key(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     best = min(_apply_perm(system.feasible, p) for p in itertools.permutations(range(n)))
     _canon_cache[key] = best
     return (n, best)
-
-
-def clear_canonical_cache() -> None:
-    _canon_cache.clear()

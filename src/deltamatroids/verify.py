@@ -3,14 +3,15 @@ library's defining identities and classifications at desk scale.
 
 Each suite returns a VerificationReport whose printable content depends
 only on the inputs and seeds; wall time is carried separately so reports
-stay byte-identical across runs.
+stay byte-identical across runs.  Every suite runs in one process, in a
+serial loop: the work is pure Python, so threads would only contend for
+the interpreter lock.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -65,17 +66,15 @@ def _run(suite: str, body: Callable[[VerificationReport], None]) -> Verification
     return report
 
 
-def _map(fn, items: Iterable, jobs: int):
-    def guarded(item):
+def _map(fn, items: Iterable):
+    """fn's failure list for each item, in order; an exception raised on
+    one item is recorded as that item's failure and the loop goes on."""
+    for item in items:
         try:
-            return fn(item)
+            failures = fn(item)
         except Exception as exc:  # a crash is a failure, not an abort
-            return [(repr(item), "no exception", repr(exc))]
-
-    if jobs <= 1:
-        return map(guarded, items)
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(guarded, items))
+            failures = [(repr(item), "no exception", repr(exc))]
+        yield failures
 
 
 def _all_proper_systems(n: int) -> Iterable[SetSystem]:
@@ -265,7 +264,7 @@ def _check_interactions(system: SetSystem, rng: random.Random, report: Verificat
                             f"order {steps} differs")
 
 
-def verify_interactions(trials: int = 10000, seed: int = 7, jobs: int = 1) -> VerificationReport:
+def verify_interactions(trials: int = 10000, seed: int = 7) -> VerificationReport:
     """Seeded random systems, up to six elements: involutions,
     commutations, reorderings, the interaction table, and witnessed
     order independence."""
@@ -284,13 +283,13 @@ def verify_interactions(trials: int = 10000, seed: int = 7, jobs: int = 1) -> Ve
             _check_interactions(system, case_rng, local)
             return local.failures
 
-        for failures in _map(one, cases, jobs):
+        for failures in _map(one, cases):
             report.failures.extend(failures)
 
     return _run(f"interactions(trials={trials}, seed={seed})", body)
 
 
-def verify_ppt(trials: int = 1000, max_n: int = 8, seed: int = 11, jobs: int = 1) -> VerificationReport:
+def verify_ppt(trials: int = 1000, max_n: int = 8, seed: int = 11) -> VerificationReport:
     """Pivoting a random symmetric matrix on every feasible set: the
     nonsingular principal submatrices shift by symmetric difference, the
     represented system twists accordingly, and pivoting is involutive."""
@@ -315,13 +314,13 @@ def verify_ppt(trials: int = 1000, max_n: int = 8, seed: int = 11, jobs: int = 1
                     failures.append((str(matrix), f"ppt involution at X={x:b}", "differs"))
             return failures
 
-        for failures in _map(one, cases, jobs):
+        for failures in _map(one, cases):
             report.failures.extend(failures)
 
     return _run(f"ppt(trials={trials}, max_n={max_n}, seed={seed})", body)
 
 
-def verify_graph_bridge(trials: int = 1000, seed: int = 13, jobs: int = 1) -> VerificationReport:
+def verify_graph_bridge(trials: int = 1000, seed: int = 13) -> VerificationReport:
     """Loop toggles, local complementations, and edge pivots on random
     loopless graphs match their set-system counterparts."""
 
@@ -355,7 +354,7 @@ def verify_graph_bridge(trials: int = 1000, seed: int = 13, jobs: int = 1) -> Ve
                     failures.append((name, f"(G^{v})\\{w} = (G\\{w})^{v}", "differs"))
             return failures
 
-        for failures in _map(one, cases, jobs):
+        for failures in _map(one, cases):
             report.failures.extend(failures)
 
     return _run(f"graph-bridge(trials={trials}, seed={seed})", body)
@@ -424,7 +423,7 @@ def verify_circle_obstructions(max_n: int = 6) -> VerificationReport:
     return _run(f"circle-obstructions(max_n={max_n})", body)
 
 
-def verify_rg_consistency(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+def verify_rg_consistency(max_n: int = 6) -> VerificationReport:
     """Circle recognition of a connected graph agrees with obstruction-based
     recognition of its delta-matroid."""
 
@@ -444,7 +443,7 @@ def verify_rg_consistency(max_n: int = 6, jobs: int = 1) -> VerificationReport:
                 return [(str(g), f"circle={circle}", f"ribbon-graphic={ribbon}")]
             return []
 
-        for failures in _map(one, keys, jobs):
+        for failures in _map(one, keys):
             report.failures.extend(failures)
 
     return _run(f"rg-consistency(max_n={max_n})", body)
@@ -463,16 +462,16 @@ SUITE_DEFAULTS = {
 }
 
 
-def verify_all(jobs: int = 1) -> list[VerificationReport]:
+def verify_all() -> list[VerificationReport]:
     """Every suite at its default guards."""
     return [
         verify_main_theorem(3),
         verify_tables(),
         verify_identities(),
-        verify_interactions(jobs=jobs),
-        verify_ppt(jobs=jobs),
-        verify_graph_bridge(jobs=jobs),
+        verify_interactions(),
+        verify_ppt(),
+        verify_graph_bridge(),
         verify_binary_corollary(3),
         verify_circle_obstructions(6),
-        verify_rg_consistency(6, jobs=jobs),
+        verify_rg_consistency(6),
     ]

@@ -140,13 +140,6 @@ def test_verify_deterministic_output(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_jobs_matches_serial(capsys):
-    assert main(["verify", "ppt", "--trials", "12", "--seed", "5"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["verify", "ppt", "--trials", "12", "--seed", "5", "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_verify_without_seed_uses_suite_default(capsys):
     assert main(["verify", "ppt", "--trials", "5"]) == 0
     assert "seed=11" in capsys.readouterr().out
@@ -156,11 +149,18 @@ def test_verify_rejects_options_the_suite_does_not_take(capsys):
     assert main(["verify", "identities", "--seed", "3", "--trials", "5", "--max-n", "9"]) == 2
     err = capsys.readouterr().err
     assert "error: suite 'identities' does not take --max-n, --trials, --seed" in err
-    for argv in (["main-theorem", "--jobs", "2"], ["binary-corollary", "--seed", "1"],
+    for argv in (["main-theorem", "--seed", "2"], ["binary-corollary", "--seed", "1"],
                  ["circle-obstructions", "--trials", "4"], ["all", "--max-n", "3"]):
         assert main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"does not take {argv[1]}" in captured.err
+
+
+def test_verify_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ppt", "--jobs", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
 
 def test_check_skips_over_guard_fields(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from deltamatroids import catalog
-from deltamatroids.exchange import is_delta_matroid, is_even, is_normal
+from deltamatroids.exchange import check_symmetric_exchange, is_delta_matroid, is_even, is_normal
 from deltamatroids.gf2 import (
     SymmetricBinaryMatrix,
     det_gf2,
@@ -197,3 +197,38 @@ def test_binary_closed_under_twisted_duals_and_minors():
 
 def test_non_delta_matroid_is_not_binary():
     assert not is_binary(catalog.get("S3"))
+
+
+def test_matrix_delta_matroids_satisfy_exchange_exhaustive_small():
+    for n in range(5):
+        for m in all_symmetric(n):
+            assert check_symmetric_exchange(m.delta_matroid()) is None, m
+
+
+def test_is_binary_needs_no_separate_exchange_check():
+    def old_form(s):
+        return is_delta_matroid(s) and is_basic_binary(s.twist(s.feasible[0]))
+
+    systems = [
+        SetSystem(tuple("abc"[:n]), tuple(f for f in range(1 << n) if bits >> f & 1))
+        for n in range(4)
+        for bits in range(1, 1 << (1 << n))
+    ]
+    rng = random.Random(12)
+    for n in range(4, 7):
+        labels = tuple(str(i + 1) for i in range(n))
+        for _ in range(40):
+            d = random_symmetric(rng, n).delta_matroid()
+            systems.append(d.twist(rng.randrange(d.full_mask + 1)))
+            bits = rng.randrange(1, 1 << (1 << n))
+            systems.append(SetSystem(labels, tuple(f for f in range(1 << n) if bits >> f & 1)))
+        for name in catalog.names():
+            s = catalog.get(name)
+            if s.size == n:
+                systems.append(s.twist(rng.randrange(s.full_mask + 1)))
+    verdicts = set()
+    for s in systems:
+        expected = old_form(s)
+        assert is_binary(s) == expected, s
+        verdicts.add((is_delta_matroid(s), expected))
+    assert verdicts == {(False, False), (True, False), (True, True)}

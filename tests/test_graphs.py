@@ -1,9 +1,11 @@
+import collections
+import functools
 import itertools
 import random
 
 import pytest
 
-from deltamatroids import catalog
+from deltamatroids import catalog, graphs
 from deltamatroids.duality import dual_pivot, orbit
 from deltamatroids.exchange import is_even, is_normal
 from deltamatroids.graphs import (
@@ -340,6 +342,27 @@ def test_ribbon_examples():
     assert is_ribbon_graphic(SetSystem((), (0,)))
     assert not is_ribbon_graphic(catalog.get("B1"))
     assert not is_ribbon_graphic(catalog.get("S3"))
+
+
+def test_ribbon_testers_built_once_per_obstruction(monkeypatch):
+    built = collections.Counter()
+
+    class CountingTester:
+        def __init__(self, seed):
+            built[seed.size, seed.feasible] += 1
+
+        def matches(self, system):
+            return False
+
+    monkeypatch.setattr(graphs, "_IsoFamilyTester", CountingTester)
+    # a fresh cache, so the testers other tests built are not seen (nor replaced)
+    fresh = functools.lru_cache(maxsize=None)(graphs._circle_class_testers.__wrapped__)
+    monkeypatch.setattr(graphs, "_circle_class_testers", fresh)
+    for n in (6, 7, 8, 6, 8):
+        assert is_ribbon_graphic(SetSystem(tuple(f"x{i}" for i in range(n)), (0,)))
+    obstructions = [g.delta_matroid() for g in circle_obstructions()]
+    assert sorted(d.size for d in obstructions) == [6, 7, 8]
+    assert built == collections.Counter((d.size, d.feasible) for d in obstructions)
 
 
 def test_dg_even_normal_and_vf_safe():

@@ -11,7 +11,7 @@ import random
 from deltamatroids import catalog
 from deltamatroids.duality import MinorMatch, find_catalog_3_minor, orbit
 from deltamatroids.gf2 import SymmetricBinaryMatrix
-from deltamatroids.graphs import _ribbon_obstruction_testers, circle_obstructions, is_ribbon_graphic
+from deltamatroids.graphs import _circle_class_testers, circle_obstructions, is_ribbon_graphic
 from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key
 
 
@@ -156,7 +156,7 @@ def test_is_ribbon_graphic_matches_scan_seeded():
     small = class_keys("B1", "S3")
     # the library's tester of the 6-element circle-obstruction class,
     # built once per process (a labeled closure of 15 552 states)
-    testers = _ribbon_obstruction_testers(6)[2][6]
+    testers = _circle_class_testers(6)
     w5 = next(g.delta_matroid() for g in circle_obstructions() if g.size == 6)
     systems = seeded_systems(7, (5, 6), 6) + [
         w5, w5.twist(0b000101), w5.loop_complement(0b110000),
