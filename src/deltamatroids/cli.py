@@ -162,7 +162,7 @@ def _cmd_obstructions(args) -> int:
 def _cmd_verify(args) -> int:
     """Run a suite with the options given; an option the suite does not
     take is a usage error, and one not given keeps the suite's default."""
-    suite = verify_mod.verify_all if args.suite == "all" else verify_mod.SUITE_DEFAULTS[args.suite]
+    suite = verify_mod.verify_all if args.suite == "all" else verify_mod.SUITES[args.suite]
     takes = inspect.signature(suite).parameters
     given = {opt: getattr(args, opt) for opt in ("max_n", "trials", "seed")
              if getattr(args, opt) is not None}
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(verify_mod.SUITE_DEFAULTS) + ["all"])
+    p.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="default: the suite's own seed")

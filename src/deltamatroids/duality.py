@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import catalog
@@ -158,7 +159,6 @@ class _CatalogIndex:
             )
         self.sizes = frozenset(self.labelings)
         self._tables: dict[tuple[int, int], frozenset[int]] = {}
-        self.source: tuple | None = None
 
     def table(self, n: int, kept: int) -> frozenset[int]:
         hit = self._tables.get((n, kept))
@@ -178,40 +178,31 @@ class _CatalogIndex:
 
 
 _catalog_key_cache: dict[tuple, _CatalogIndex] = {}
-# An index also remembers the first tuple of entries it was asked for (such
-# as catalog.s3_twisted_duals()) and is found again by that tuple's
-# identity: a tuple is immutable, and holding it keeps its id from reuse.
-_catalog_by_identity: dict[int, _CatalogIndex] = {}
 
 
 def _catalog_index(entries: Sequence[SetSystem]) -> _CatalogIndex:
     """The index of the entries, cached by content."""
-    index = _catalog_by_identity.get(id(entries))
-    if index is not None and index.source is entries:
-        return index
     cache_key = tuple((e.size, e.feasible) for e in entries)
     index = _catalog_key_cache.get(cache_key)
     if index is None:
         index = _catalog_key_cache[cache_key] = _CatalogIndex(entries)
-    if isinstance(entries, tuple) and index.source is None:
-        index.source = entries
-        _catalog_by_identity[id(entries)] = index
     return index
 
 
 def find_catalog_3_minor(
-    system: SetSystem, entries: Sequence[SetSystem]
+    system: SetSystem, entries: Sequence[SetSystem] | _CatalogIndex
 ) -> MinorMatch | None:
     """First three-operation minor isomorphic to a catalog entry, if any.
 
     Assignments of elements to keep / delete / contract / penrose are
     scanned in itertools.product(range(4), repeat=n) order (see
     SetSystem.iter_three_minors), so the witness is deterministic.
-    Minors whose ground size matches no entry are never formed.
+    Minors whose ground size matches no entry are never formed.  The
+    entries may also come as an index the caller prepared once.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
-    index = _catalog_index(entries)
+    index = entries if isinstance(entries, _CatalogIndex) else _catalog_index(entries)
     n = system.size
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(index.sizes):
@@ -221,11 +212,17 @@ def find_catalog_3_minor(
     return None
 
 
-def has_catalog_3_minor(system: SetSystem, entries: Sequence[SetSystem]) -> bool:
+def has_catalog_3_minor(system: SetSystem, entries: Sequence[SetSystem] | _CatalogIndex) -> bool:
     return find_catalog_3_minor(system, entries) is not None
+
+
+@lru_cache(maxsize=1)
+def _s3_dual_index() -> _CatalogIndex:
+    """The index of the twisted duals of S3."""
+    return _CatalogIndex(catalog.s3_twisted_duals())
 
 
 def is_vf_safe_via_obstruction(system: SetSystem) -> bool:
     """Obstruction form of vf-safety: no three-operation minor is a
     twisted dual of S3."""
-    return not has_catalog_3_minor(system, catalog.s3_twisted_duals())
+    return not has_catalog_3_minor(system, _s3_dual_index())

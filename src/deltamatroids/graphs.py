@@ -5,6 +5,17 @@ Graphs are adjacency bitmask rows with a separate loop mask; the diagonal
 of the adjacency rows stays zero.  Canonical labeling is an
 individualization-refinement search minimizing the packed adjacency
 bits, exact for the desk-scale sizes used here (n <= 9).
+
+Ribbon-graphic recognition holds the twisted-duality class of D(G), for
+each circle obstruction G, as the canonical keys of the looped graphs
+reachable from G by loop toggles at any vertex and local complementations
+at looped vertices (the principal pivot there).  That is the whole class:
+a normal binary delta-matroid D(B) determines B, and D(A * X) = D(A) * X
+and D(G + v) = D(G) + v (Bouchet, "Representability of Delta-matroids",
+1988; Brijder & Hoogeboom, "The group structure of pivot and loop
+complementation on graphs and set systems", European J. Combin. 32,
+2011), so every member twisted at its least feasible set is D(B) for one
+of those looped graphs B.
 """
 
 from __future__ import annotations
@@ -12,12 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import catalog
-from .duality import _CatalogIndex, _catalog_index, _labeled_closure, orbit
-from .gf2 import SymmetricBinaryMatrix
-from .setsystem import SetSystem, _apply_perm, popcount
+from .duality import _CatalogIndex, orbit
+from .gf2 import SymmetricBinaryMatrix, is_basic_binary, reconstruct_basic_matrix
+from .setsystem import SetSystem, popcount
 
 CIRCLE_GUARD = 9
 VERTEX_MINOR_GUARD = 9
@@ -480,22 +491,28 @@ def circle_word(graph: LoopedSimpleGraph) -> ChordDiagram | None:
 # local-complementation orbits and vertex minors
 
 
-def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
-    """Canonical keys of the local-complementation class of the graph."""
-    seed = graph_canonical_key(graph)
-    seen = {seed}
-    frontier = [seed]
+def _key_closure(
+    seeds: Iterable[LoopedSimpleGraph],
+    moves: Callable[[LoopedSimpleGraph], list[LoopedSimpleGraph]],
+) -> frozenset[GraphKey]:
+    """Canonical keys of every graph reachable from the seeds by moves."""
+    seen = {graph_canonical_key(g) for g in seeds}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for key in frontier:
-            rep = graph_from_key(key)
-            for v in rep.labels:
-                child = graph_canonical_key(rep.local_complement(v))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
+            for child in moves(graph_from_key(key)):
+                child_key = graph_canonical_key(child)
+                if child_key not in seen:
+                    seen.add(child_key)
+                    nxt.append(child_key)
         frontier = nxt
     return frozenset(seen)
+
+
+def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
+    """Canonical keys of the local-complementation class of the graph."""
+    return _key_closure([graph], lambda g: [g.local_complement(v) for v in g.labels])
 
 
 def is_vertex_minor(graph: LoopedSimpleGraph, target: LoopedSimpleGraph) -> bool:
@@ -569,40 +586,10 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
 # ribbon-graphic recognition via excluded three-operation minors
 
 
-class _IsoFamilyTester:
-    """Membership test against the twisted-duality class of one system,
-    up to isomorphism.
-
-    Stores the labeled closure as a set of feasible tuples; a query is
-    matched by scanning ground permutations until one lands in the set.
-    """
-
-    @staticmethod
-    def _profile(feasible) -> tuple:
-        return (len(feasible), tuple(sorted(popcount(m) for m in feasible)))
-
-    def __init__(self, seed: SetSystem):
-        self.size = seed.size
-        self.families = frozenset(_labeled_closure(seed))
-        self.profiles = {self._profile(f) for f in self.families}
-
-    def matches(self, system: SetSystem) -> bool:
-        n = system.size
-        if n != self.size:
-            return False
-        feas = system.feasible
-        if self._profile(feas) not in self.profiles:
-            return False
-        return any(
-            _apply_perm(feas, perm) in self.families
-            for perm in itertools.permutations(range(n))
-        )
-
-
 @lru_cache(maxsize=1)
 def _small_obstruction_index() -> _CatalogIndex:
     """The index of the twisted duals of B1 and S3."""
-    return _catalog_index(tuple(
+    return _CatalogIndex(tuple(
         member
         for name in ("B1", "S3")
         for member in orbit(catalog.get(name), up_to_iso=True).members
@@ -610,18 +597,39 @@ def _small_obstruction_index() -> _CatalogIndex:
 
 
 @lru_cache(maxsize=None)
-def _circle_class_testers(size: int) -> tuple[_IsoFamilyTester, ...]:
-    """Testers of the classes of the delta-matroids of the circle
-    obstructions with size vertices; each is built once per process."""
-    return tuple(_IsoFamilyTester(g.delta_matroid()) for g in circle_obstructions() if g.size == size)
+def _circle_class(size: int) -> tuple[frozenset[GraphKey], frozenset[int]]:
+    """The looped-graph keys of the class of the circle obstructions with
+    size vertices (see the module docstring), and the family sizes |D(B)|
+    over them; each is built once per process."""
+    keys = _key_closure(
+        (g for g in circle_obstructions() if g.size == size),
+        lambda g: [g.loop_toggle(v) for v in g.labels]
+        + [g.local_complement(v) for i, v in enumerate(g.labels) if g.loops >> i & 1],
+    )
+    return keys, frozenset(len(graph_from_key(key).delta_matroid().feasible) for key in keys)
+
+
+def _looped_graph_key(system: SetSystem) -> GraphKey | None:
+    """The key of the looped graph B with system * F = D(B) for its least
+    feasible set F, or None when that twist is not basic binary."""
+    t = system.twist(system.feasible[0])
+    if not is_basic_binary(t):
+        return None
+    rows = reconstruct_basic_matrix(t).rows
+    loops = sum(row & (1 << i) for i, row in enumerate(rows))
+    return _canon_key_raw(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], loops)
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:
     """No three-operation minor lies in an obstruction class.
 
     The obstruction classes are the twisted duals of B1, of S3, and of
-    the delta-matroids of the three circle obstructions; classes larger
-    than the ground set cannot occur and are skipped.
+    the delta-matroids D(G) of the three circle obstructions; classes
+    larger than the ground set cannot occur and are skipped.  A minor is
+    in a circle-obstruction class iff its twist at its least feasible set
+    is basic binary and its looped graph has a key in the class's key set
+    (see the module docstring).  A twist keeps the number of feasible
+    sets, so a minor whose count no key's D(B) has is skipped unformed.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
@@ -629,24 +637,22 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
     small = _small_obstruction_index()
-    by_size = {k: _circle_class_testers(k) for k in range(n + 1)}
-    sizes = small.sizes.union(k for k in by_size if by_size[k])
+    sizes = small.sizes.union(g.size for g in circle_obstructions() if g.size <= n)
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(sizes):
         kept = full & ~(x | y | z)
         if leaf in small.table(n, kept):
             return False
-        testers = by_size[kept.bit_count()]
-        if testers:
-            m = system.three_minor(x, y, z)
-            if any(t.matches(m) for t in testers):
-                return False
+        keys, counts = _circle_class(kept.bit_count())
+        if leaf.bit_count() in counts and _looped_graph_key(system.three_minor(x, y, z)) in keys:
+            return False
     return True
 
 
+@lru_cache(maxsize=1)
 def circle_obstructions() -> tuple[LoopedSimpleGraph, ...]:
-    """The three derived circle obstructions, loaded from the package
-    cache (see formats.load_obstruction_cache)."""
+    """The three derived circle obstructions, loaded once from the
+    package cache (see formats.load_obstruction_cache)."""
     from .formats import load_obstruction_cache
 
     return load_obstruction_cache()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import catalog
-from .duality import dual_pivot, has_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
+from .duality import _CatalogIndex, dual_pivot, has_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
 from .exchange import is_delta_matroid
 from .gf2 import SymmetricBinaryMatrix
 from .graphs import (
@@ -368,7 +368,7 @@ def verify_binary_corollary(max_n: int = 3) -> VerificationReport:
     def body(report: VerificationReport) -> None:
         from .gf2 import is_binary
 
-        entries = orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals()
+        entries = _CatalogIndex(orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals())
         dm_count = 0
         for n in range(0, max_n + 1):
             for system in _all_proper_systems(n):
@@ -449,7 +449,7 @@ def verify_rg_consistency(max_n: int = 6) -> VerificationReport:
     return _run(f"rg-consistency(max_n={max_n})", body)
 
 
-SUITE_DEFAULTS = {
+SUITES = {
     "main-theorem": verify_main_theorem,
     "tables": verify_tables,
     "identities": verify_identities,
@@ -464,14 +464,4 @@ SUITE_DEFAULTS = {
 
 def verify_all() -> list[VerificationReport]:
     """Every suite at its default guards."""
-    return [
-        verify_main_theorem(3),
-        verify_tables(),
-        verify_identities(),
-        verify_interactions(),
-        verify_ppt(),
-        verify_graph_bridge(),
-        verify_binary_corollary(3),
-        verify_circle_obstructions(6),
-        verify_rg_consistency(6),
-    ]
+    return [suite() for suite in SUITES.values()]

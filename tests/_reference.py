@@ -2,14 +2,18 @@
 
 Everything here works on frozensets of label strings (not bitmasks) and
 takes the shortest definitional route, so it shares no code with the
-library under test.
+library under test.  The one exception is ClosureTester, the labeled
+closure of a twisted-duality class, which checks the looped-graph form
+of the circle-obstruction classes in graphs against the closure BFS.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from deltamatroids.setsystem import SetSystem
+from deltamatroids.duality import _labeled_closure
+from deltamatroids.setsystem import SetSystem, _apply_perm
 
 
 def to_sets(system: SetSystem) -> tuple[tuple[str, ...], frozenset[frozenset[str]]]:
@@ -102,3 +106,31 @@ def all_double_occurrence_words(n: int):
         return
     rest = symbols[1:]
     yield from rec(rest, [0])
+
+
+class ClosureTester:
+    """Membership in the twisted-duality class of one system, up to
+    isomorphism: its labeled closure as a set of feasible tuples, matched
+    by scanning ground permutations until one lands in the set."""
+
+    def __init__(self, seed: SetSystem):
+        self.seed = seed
+        self.families = frozenset(_labeled_closure(seed))
+        self.profiles = {self._profile(f) for f in self.families}
+
+    @staticmethod
+    def _profile(feasible) -> tuple:
+        return len(feasible), tuple(sorted(m.bit_count() for m in feasible))
+
+    def matches(self, system: SetSystem) -> bool:
+        if system.size != self.seed.size or self._profile(system.feasible) not in self.profiles:
+            return False
+        return any(
+            _apply_perm(system.feasible, perm) in self.families
+            for perm in itertools.permutations(range(system.size))
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def closure_tester(seed: SetSystem) -> ClosureTester:
+    return ClosureTester(seed)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from deltamatroids import catalog, formats
+import deltamatroids
+from deltamatroids import catalog, formats, verify
 from deltamatroids.cli import main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph
@@ -96,6 +101,31 @@ def test_check_b1(capsys):
     assert "ribbon-graphic: no" in out
 
 
+def test_check_s7(capsys):
+    assert main(["check", "catalog:S7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ground: e1 e2 e3 e4 e5 e6 e7",
+        "proper: yes",
+        "delta-matroid: no (X={} Y={e1,e2,e3,e4,e5,e6,e7} u=e1)",
+        "even: no",
+        "normal: yes",
+        "basic-binary: no",
+        "binary: no",
+        "vf-safe: no",
+        "ribbon-graphic: no",
+    ]
+
+
+def test_python_m_runs_the_cli(capsys):
+    src = str(Path(deltamatroids.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "deltamatroids", "check", "catalog:B1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["check", "catalog:B1"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_check_witness_line(capsys):
     assert main(["check", "catalog:S3"]) == 0
     out = capsys.readouterr().out
@@ -154,6 +184,23 @@ def test_verify_rejects_options_the_suite_does_not_take(capsys):
         assert main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"does not take {argv[1]}" in captured.err
+
+
+def test_verify_all_runs_each_registered_suite_once_in_order(monkeypatch):
+    calls = []
+
+    def fake(name):
+        def suite(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return name
+        return suite
+
+    names = list(verify.SUITES)
+    assert names == ["main-theorem", "tables", "identities", "interactions", "ppt",
+                     "graph-bridge", "binary-corollary", "circle-obstructions", "rg-consistency"]
+    monkeypatch.setattr(verify, "SUITES", {name: fake(name) for name in names})
+    assert verify.verify_all() == names
+    assert calls == [(name, (), {}) for name in names]
 
 
 def test_verify_has_no_jobs_option(capsys):

@@ -23,9 +23,10 @@ from deltamatroids.graphs import (
     is_vertex_minor,
     lc_orbit_keys,
 )
-from deltamatroids.setsystem import SetSystem, canonical_key
+from deltamatroids.gf2 import reconstruct_basic_matrix
+from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
-from _reference import all_double_occurrence_words, interlacement_ref
+from _reference import all_double_occurrence_words, closure_tester, interlacement_ref
 
 
 def graph(vertices, edges=(), loops=()):
@@ -346,23 +347,50 @@ def test_ribbon_examples():
 
 def test_ribbon_testers_built_once_per_obstruction(monkeypatch):
     built = collections.Counter()
+    shared = graphs._circle_class  # the process-wide build other tests use
 
-    class CountingTester:
-        def __init__(self, seed):
-            built[seed.size, seed.feasible] += 1
+    def counting(size):
+        built[size] += 1
+        return shared(size)
 
-        def matches(self, system):
-            return False
-
-    monkeypatch.setattr(graphs, "_IsoFamilyTester", CountingTester)
-    # a fresh cache, so the testers other tests built are not seen (nor replaced)
-    fresh = functools.lru_cache(maxsize=None)(graphs._circle_class_testers.__wrapped__)
-    monkeypatch.setattr(graphs, "_circle_class_testers", fresh)
+    monkeypatch.setattr(graphs, "_circle_class", functools.lru_cache(maxsize=None)(counting))
     for n in (6, 7, 8, 6, 8):
         assert is_ribbon_graphic(SetSystem(tuple(f"x{i}" for i in range(n)), (0,)))
-    obstructions = [g.delta_matroid() for g in circle_obstructions()]
-    assert sorted(d.size for d in obstructions) == [6, 7, 8]
-    assert built == collections.Counter((d.size, d.feasible) for d in obstructions)
+    assert {6, 7, 8} <= set(built) and set(built.values()) == {1}
+    assert [len(shared(k)[0]) for k in (6, 7, 8)] == [29, 560, 2711]
+
+
+def test_circle_class_keys_are_the_closure_normal_members():
+    """The looped-graph form of the 6-vertex obstruction class equals the
+    normal members of the labeled closure of its delta-matroid."""
+    g6 = next(g for g in circle_obstructions() if g.size == 6)
+    oracle = closure_tester(g6.delta_matroid())
+    expected = set()
+    for feasible in oracle.families:
+        if feasible[0] == 0:
+            b = reconstruct_basic_matrix(SetSystem(g6.labels, feasible))
+            assert b.delta_matroid().feasible == feasible
+            loops = sum(row & (1 << i) for i, row in enumerate(b.rows))
+            adj = tuple(row & ~(1 << i) for i, row in enumerate(b.rows))
+            expected.add(graph_canonical_key(LoopedSimpleGraph(b.labels, adj, loops)))
+    keys, counts = graphs._circle_class(6)
+    assert keys == expected and len(keys) == 29
+    assert counts == {len(f) for f in oracle.families}
+
+
+def test_ribbon_recognition_at_its_guard():
+    g8 = next(g for g in circle_obstructions() if g.size == 8)
+    d8 = g8.delta_matroid()
+    member = d8.loop_complement(0b10010001).twist(0b00000110).loop_complement(0b00100000)
+    perm = (3, 7, 0, 5, 1, 6, 2, 4)
+    member = SetSystem(member.labels, _apply_perm(member.feasible, perm))
+    assert member.feasible[0] != 0 and member != d8
+    rim = [f"c{i}" for i in range(8)]
+    c8 = graph(rim, [(rim[i], rim[(i + 1) % 8]) for i in range(8)])
+    assert graphs.RIBBON_GUARD == 8
+    assert not is_ribbon_graphic(d8)
+    assert not is_ribbon_graphic(member)
+    assert is_ribbon_graphic(c8.delta_matroid())
 
 
 def test_dg_even_normal_and_vf_safe():

@@ -1,8 +1,8 @@
 """The indicator walk behind the three-operation-minor scans agrees with
 the direct scan: every role assignment in itertools.product order, each
 minor formed by the closed form three_minor and matched through
-canonical_key (or, for the circle-obstruction classes, the permutation
-scan of graphs._IsoFamilyTester)."""
+canonical_key (or, for the circle-obstruction classes, the labeled
+closure of _reference.ClosureTester)."""
 
 import functools
 import itertools
@@ -11,8 +11,10 @@ import random
 from deltamatroids import catalog
 from deltamatroids.duality import MinorMatch, find_catalog_3_minor, orbit
 from deltamatroids.gf2 import SymmetricBinaryMatrix
-from deltamatroids.graphs import _circle_class_testers, circle_obstructions, is_ribbon_graphic
+from deltamatroids.graphs import circle_obstructions, is_ribbon_graphic
 from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key
+
+from _reference import closure_tester
 
 
 def proper_systems(n):
@@ -154,10 +156,9 @@ def test_find_catalog_3_minor_matches_scan_seeded():
 
 def test_is_ribbon_graphic_matches_scan_seeded():
     small = class_keys("B1", "S3")
-    # the library's tester of the 6-element circle-obstruction class,
-    # built once per process (a labeled closure of 15 552 states)
-    testers = _circle_class_testers(6)
     w5 = next(g.delta_matroid() for g in circle_obstructions() if g.size == 6)
+    # the labeled closure of the 6-element circle-obstruction class (15 552 states)
+    tester = closure_tester(w5)
     systems = seeded_systems(7, (5, 6), 6) + [
         w5, w5.twist(0b000101), w5.loop_complement(0b110000),
         w5.loop_complement(0b000011).twist(0b000010),
@@ -166,7 +167,7 @@ def test_is_ribbon_graphic_matches_scan_seeded():
     for s in systems:
         expected = True
         for _, _, _, m in scan(s, frozenset({3, 6})):
-            if m.size == 3 and canonical_key(m) in small or any(t.matches(m) for t in testers):
+            if m.size == 3 and canonical_key(m) in small or tester.matches(m):
                 expected = False
                 break
         assert is_ribbon_graphic(s) == expected, s
