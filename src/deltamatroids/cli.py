@@ -37,7 +37,7 @@ def _load_payload(ref: str):
         raise UsageError(f"no such file: {ref}")
     try:
         return formats.loads(path.read_text())
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {ref}: {exc}") from None
 
 

@@ -5,6 +5,17 @@ determinant uses Gaussian elimination with XOR row updates; the empty
 matrix counts as nonsingular so that the empty set is always feasible
 below.
 
+A principal pivot works on the tableau [I | A], whose row i is the integer
+1 << i | A_i << n: e_i in the low n bits and A e_i in the high n bits.  Its
+rows span the graph {(x, Ax)}, and A*X is the matrix whose graph is that one
+with the coordinates x_X and y_X exchanged (Tsatsomeros, "Principal pivot
+transforms: properties and applications", 2000).  So ppt swaps bits i and
+n + i for every i in X and reduces the low half back to I by Gauss-Jordan
+elimination; row i then reads e_i | (A*X) e_i << n.  After the swap the low
+half holds column i of A for i in X and e_i elsewhere, so its determinant is
+det A[X]: the elimination runs out of pivots exactly when the pivot block
+is singular.
+
 All 2^n principal determinants are found at once by a Schur-complement
 recursion (Griffin & Tsatsomeros, "Principal minors, Part I", 2006) that
 peels off the last index i.  Subsets without i are the principal minors of
@@ -98,10 +109,14 @@ class SymmetricBinaryMatrix:
     @classmethod
     def from_entries(cls, labels: Iterable[str], entries: Sequence[Sequence[int]]) -> SymmetricBinaryMatrix:
         labels = tuple(labels)
-        rows = tuple(
-            sum((int(v) & 1) << j for j, v in enumerate(row)) for row in entries
-        )
-        return cls(labels, rows)
+        rows = []
+        for row in entries:
+            if len(row) != len(labels):
+                raise ValueError("row length must match label count")
+            if any(v not in (0, 1) for v in row):
+                raise ValueError("entries must be 0 or 1")
+            rows.append(sum(1 << j for j, v in enumerate(row) if v))
+        return cls(labels, tuple(rows))
 
     @property
     def size(self) -> int:
@@ -149,87 +164,39 @@ class SymmetricBinaryMatrix:
     def ppt(self, subset: SubsetLike) -> SymmetricBinaryMatrix:
         """Principal pivot transform on a nonsingular principal submatrix.
 
-        Blockwise, with P the pivot block, Q, R its row/column strips and
-        S the rest: the result has blocks P^-1, P^-1 Q, R P^-1 and
-        S + R P^-1 Q (signs vanish over GF(2)).  Involutive in the subset.
+        One Gauss-Jordan pass on the [I | A] tableau with bits i and n + i
+        swapped for every i in the subset (see the module docstring); it
+        raises ValueError when the pivot block is singular.  Involutive in
+        the subset.
         """
         x = self.mask(subset)
         n = self.size
-        xs = [i for i in range(n) if x >> i & 1]
-        ys = [i for i in range(n) if not x >> i & 1]
-        k = len(xs)
-        p = [_compress(self.rows[i], xs) for i in xs]
-        pinv = _invert_gf2(p, k)
-        if pinv is None:
-            raise ValueError("pivot block is singular")
-        q = [_compress(self.rows[i], ys) for i in xs]          # k rows over ys
-        r = [_compress(self.rows[j], xs) for j in ys]          # |ys| rows over xs
-        s = [_compress(self.rows[j], ys) for j in ys]
-        pinv_q = _matmul_gf2(pinv, q)                          # k x |ys|
-        r_pinv = _matmul_gf2(r, pinv)                          # |ys| x k
-        r_pinv_q = _matmul_gf2(r, pinv_q)                      # |ys| x |ys|
-        new_rows = [0] * n
-        for a, i in enumerate(xs):
-            row = 0
-            for b, j in enumerate(xs):
-                if pinv[a] >> b & 1:
-                    row |= 1 << j
-            for b, j in enumerate(ys):
-                if pinv_q[a] >> b & 1:
-                    row |= 1 << j
-            new_rows[i] = row
-        for a, j in enumerate(ys):
-            row = 0
-            for b, i in enumerate(xs):
-                if r_pinv[a] >> b & 1:
-                    row |= 1 << i
-            for b, jj in enumerate(ys):
-                if (s[a] ^ r_pinv_q[a]) >> b & 1:
-                    row |= 1 << jj
-            new_rows[j] = row
-        return SymmetricBinaryMatrix(self.labels, tuple(new_rows))
+        tab = []
+        for i, row in enumerate(self.rows):
+            t = 1 << i | row << n
+            d = (t ^ t >> n) & x
+            tab.append(t ^ (d | d << n))
+        for col in range(n):
+            bit = 1 << col
+            pivot = -1
+            for r in range(col, n):
+                if tab[r] & bit:
+                    pivot = r
+                    break
+            if pivot < 0:
+                raise ValueError("pivot block is singular")
+            tab[col], tab[pivot] = tab[pivot], tab[col]
+            prow = tab[col]
+            for r in range(n):
+                if r != col and tab[r] & bit:
+                    tab[r] ^= prow
+        return SymmetricBinaryMatrix(self.labels, tuple(t >> n for t in tab))
 
     def __str__(self) -> str:
         body = " / ".join(
             "".join(str(r >> j & 1) for j in range(self.size)) for r in self.rows
         )
         return f"[{','.join(self.labels)}: {body}]"
-
-
-def _invert_gf2(rows: Sequence[int], n: int) -> list[int] | None:
-    """Inverse over GF(2) via Gauss-Jordan on [M | I], or None if singular."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        bit = 1 << col
-        pivot = -1
-        for r in range(col, n):
-            if aug[r] & bit:
-                pivot = r
-                break
-        if pivot < 0:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r] & bit:
-                aug[r] ^= prow
-    return [row >> n for row in aug]
-
-
-def _matmul_gf2(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Rows-as-masks product: row i of the result is the XOR of the rows
-    of b selected by the bits of row i of a."""
-    out = []
-    for arow in a:
-        acc = 0
-        j = 0
-        while arow:
-            if arow & 1:
-                acc ^= b[j]
-            arow >>= 1
-            j += 1
-        out.append(acc)
-    return out
 
 
 def reconstruct_basic_matrix(system: SetSystem) -> SymmetricBinaryMatrix:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from . import catalog
-from .duality import _CatalogIndex, orbit
+from .duality import _b1_s3_dual_index
 from .gf2 import SymmetricBinaryMatrix, is_basic_binary, reconstruct_basic_matrix
 from .setsystem import SetSystem, popcount
 
@@ -373,9 +372,9 @@ class ChordDiagram:
         return LoopedSimpleGraph(names, tuple(adj), 0)
 
 
-def _circle_word_search(n: int, adj: Sequence[int], collect: bool) -> tuple[str, ...] | None:
+def _circle_word_search(n: int, adj: Sequence[int]) -> tuple[int, ...] | None:
     """Backtracking construction of a double-occurrence word realizing the
-    labeled interlacement graph, or None.
+    labeled interlacement graph, as a tuple of vertex indices, or None.
 
     A chord's full crossing row is determined the moment it closes: it
     crosses exactly the still-open chords opened after it, plus the
@@ -448,7 +447,7 @@ def _circle_word_search(n: int, adj: Sequence[int], collect: bool) -> tuple[str,
         return False
 
     if rec():
-        return tuple(str(v) for v in word) if collect else ()
+        return tuple(word)
     return None
 
 
@@ -470,7 +469,7 @@ def is_circle_graph(graph: LoopedSimpleGraph) -> bool:
     hit = _circle_cache.get(key)
     if hit is None:
         rep = graph_from_key(key)
-        hit = _circle_word_search(rep.size, rep.adj, False) is not None
+        hit = _circle_word_search(rep.size, rep.adj) is not None
         _circle_cache[key] = hit
     return hit
 
@@ -481,10 +480,10 @@ def circle_word(graph: LoopedSimpleGraph) -> ChordDiagram | None:
         raise ValueError("circle recognition requires a loopless graph")
     if graph.size > CIRCLE_GUARD:
         raise ValueError(f"circle recognition guard: over {CIRCLE_GUARD} vertices")
-    word = _circle_word_search(graph.size, graph.adj, True)
+    word = _circle_word_search(graph.size, graph.adj)
     if word is None:
         return None
-    return ChordDiagram(tuple(graph.labels[int(w)] for w in word))
+    return ChordDiagram(tuple(graph.labels[w] for w in word))
 
 
 # ----------------------------------------------------------------------
@@ -586,16 +585,6 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
 # ribbon-graphic recognition via excluded three-operation minors
 
 
-@lru_cache(maxsize=1)
-def _small_obstruction_index() -> _CatalogIndex:
-    """The index of the twisted duals of B1 and S3."""
-    return _CatalogIndex(tuple(
-        member
-        for name in ("B1", "S3")
-        for member in orbit(catalog.get(name), up_to_iso=True).members
-    ))
-
-
 @lru_cache(maxsize=None)
 def _circle_class(size: int) -> tuple[frozenset[GraphKey], frozenset[int]]:
     """The looped-graph keys of the class of the circle obstructions with
@@ -636,7 +625,7 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
     n = system.size
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
-    small = _small_obstruction_index()
+    small = _b1_s3_dual_index()
     sizes = small.sizes.union(g.size for g in circle_obstructions() if g.size <= n)
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(sizes):

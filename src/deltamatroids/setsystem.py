@@ -283,18 +283,11 @@ class SetSystem:
         """Order-independent minor: delete X, contract Y, in closed form.
 
         Requires a feasible witness F with Y <= F <= E - X; without one the
-        deletions and contractions would be order-dependent.
+        deletions and contractions would be order-dependent.  This is
+        three_minor with no penrose set: each F - Y comes from one F, so
+        every parity is odd.
         """
-        x = self.mask(delete_subset)
-        y = self.mask(contract_subset)
-        if x & y:
-            raise ValueError("delete and contract subsets must be disjoint")
-        kept = [m & ~y for m in self.feasible if not m & x and m & y == y]
-        if not kept:
-            raise UnrealizableMinorError(
-                "empty result: not realizable as an order-independent minor"
-            )
-        return self._without(x | y, kept)
+        return self.three_minor(delete_subset, contract_subset, 0)
 
     def three_minor(
         self,

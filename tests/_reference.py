@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations for the tests.
 
-Everything here works on frozensets of label strings (not bitmasks) and
-takes the shortest definitional route, so it shares no code with the
-library under test.  The one exception is ClosureTester, the labeled
-closure of a twisted-duality class, which checks the looped-graph form
-of the circle-obstruction classes in graphs against the closure BFS.
+Everything here works on frozensets of label strings or on plain 0/1
+lists (not bitmasks) and takes the shortest definitional route, so it
+shares no code with the library under test.  The one exception is
+ClosureTester, the labeled closure of a twisted-duality class, which
+checks the looped-graph form of the circle-obstruction classes in graphs
+against the closure BFS.
 """
 
 from __future__ import annotations
@@ -72,6 +73,26 @@ def det_permanent_ref(entries) -> int:
             prod &= entries[i][perm[i]]
         total ^= prod
     return total
+
+
+def ppt_ref(entries, subset):
+    """Principal pivot transform by definition, or None if it does not exist.
+
+    For each x in GF(2)^n let y = Ax; x' is x with x_X replaced by y_X and
+    y' is y with y_X replaced by x_X.  A * X exists iff x -> x' is a
+    bijection, and then (A * X) x' = y' for every x.  Returns the list of
+    the pairs (x', y'), each a tuple of 0/1 entries.
+    """
+    n = len(entries)
+    pairs = []
+    for x in itertools.product((0, 1), repeat=n):
+        y = [sum(entries[i][j] * x[j] for j in range(n)) % 2 for i in range(n)]
+        x2 = tuple(y[i] if i in subset else x[i] for i in range(n))
+        y2 = tuple(x[i] if i in subset else y[i] for i in range(n))
+        pairs.append((x2, y2))
+    if len({x2 for x2, _ in pairs}) < len(pairs):
+        return None
+    return pairs
 
 
 def interlacement_ref(word):

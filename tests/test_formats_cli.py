@@ -43,11 +43,29 @@ def test_edge_text_format():
     assert g.loops == 1 << g.vertex_index("c")
 
 
+_WRONG_TYPE_PAYLOADS = (
+    '{"ground": ["a"], "feasible": [5]}',
+    '{"ground": 5, "feasible": []}',
+    '{"labels": ["1"], "rows": [5]}',
+    '{"vertices": ["a","b"], "edges": [["a","b"]], "loops": 3}',
+)
+_BAD_MATRIX_PAYLOADS = (
+    '{"labels": ["a"], "rows": ["3"]}',
+    '{"labels": ["a","b"], "rows": ["1","0"]}',
+)
+
+
 def test_malformed_payloads():
     with pytest.raises(ValueError):
         formats.loads('{"nope": 1}')
     with pytest.raises(ValueError):
         formats.loads('{"ground":["a","a"],"feasible":[[]]}')
+    for text in _WRONG_TYPE_PAYLOADS:
+        with pytest.raises(TypeError):
+            formats.loads(text)
+    for text in _BAD_MATRIX_PAYLOADS:
+        with pytest.raises(ValueError):
+            formats.loads(text)
 
 
 def test_cache_checksum_guard(tmp_path):
@@ -148,10 +166,15 @@ def test_orbit_command(capsys):
     assert out2.startswith("orbit size (labeled):")
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert main(["apply", "catalog:NOPE", "+a"]) == 2
     assert main(["apply", "catalog:S3", "frob:e1"]) == 2
     assert main(["apply", "/no/such/file.json", "+a"]) == 2
+    p = tmp_path / "bad.json"
+    for text in _WRONG_TYPE_PAYLOADS + _BAD_MATRIX_PAYLOADS:
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus-suite"])
     assert exc.value.code == 2

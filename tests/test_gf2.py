@@ -13,7 +13,7 @@ from deltamatroids.gf2 import (
 )
 from deltamatroids.setsystem import SetSystem, popcount
 
-from _reference import det_permanent_ref
+from _reference import det_permanent_ref, ppt_ref
 
 
 def matrix(labels, *rows):
@@ -87,6 +87,38 @@ def test_ppt_examples():
     assert swap.ppt(["1", "2"]) == swap
     with pytest.raises(ValueError):
         swap.ppt(["1"])  # singular pivot block
+
+
+def _assert_ppt_matches_definition(m, x):
+    n = m.size
+    entries = [[m.rows[i] >> j & 1 for j in range(n)] for i in range(n)]
+    pairs = ppt_ref(entries, {i for i in range(n) if x >> i & 1})
+    if pairs is None:
+        with pytest.raises(ValueError, match="pivot block is singular"):
+            m.ppt(x)
+        return False
+    pivoted = m.ppt(x)
+    for x2, y2 in pairs:
+        assert tuple(sum((pivoted.rows[i] >> j & 1) * x2[j] for j in range(n)) % 2 for i in range(n)) == y2
+    return True
+
+
+def test_ppt_matches_definition_exhaustive_small():
+    for n in range(0, 5):
+        for m in all_symmetric(n):
+            for x in range(1 << n):
+                _assert_ppt_matches_definition(m, x)
+
+
+def test_ppt_matches_definition_random():
+    rng = random.Random(12)
+    outcomes = set()
+    for n in range(5, 9):
+        for _ in range(8):
+            m = random_symmetric(rng, n)
+            for _ in range(6):
+                outcomes.add(_assert_ppt_matches_definition(m, rng.getrandbits(n)))
+    assert outcomes == {False, True}
 
 
 def _feasible_by_elimination(m):
