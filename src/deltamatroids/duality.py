@@ -222,13 +222,6 @@ def _s3_dual_index() -> _CatalogIndex:
     return _CatalogIndex(catalog.s3_twisted_duals())
 
 
-@lru_cache(maxsize=1)
-def _b1_s3_dual_index() -> _CatalogIndex:
-    """The index of the twisted duals of B1 and of S3: the obstructions of
-    binary delta-matroids, and the small ribbon-graphic ones."""
-    return _CatalogIndex(orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals())
-
-
 def is_vf_safe_via_obstruction(system: SetSystem) -> bool:
     """Obstruction form of vf-safety: no three-operation minor is a
     twisted dual of S3."""

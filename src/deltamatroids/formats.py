@@ -45,7 +45,7 @@ def matrix_to_dict(matrix: SymmetricBinaryMatrix) -> dict[str, Any]:
 
 def matrix_from_dict(data: dict[str, Any]) -> SymmetricBinaryMatrix:
     labels = data["labels"]
-    entries = [[int(c) for c in row] for row in data["rows"]]
+    entries = [[int(c) for c in row] if isinstance(row, str) else row for row in data["rows"]]
     return SymmetricBinaryMatrix.from_entries(labels, entries)
 
 

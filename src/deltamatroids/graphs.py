@@ -6,16 +6,19 @@ of the adjacency rows stays zero.  Canonical labeling is an
 individualization-refinement search minimizing the packed adjacency
 bits, exact for the desk-scale sizes used here (n <= 9).
 
-Ribbon-graphic recognition holds the twisted-duality class of D(G), for
-each circle obstruction G, as the canonical keys of the looped graphs
-reachable from G by loop toggles at any vertex and local complementations
-at looped vertices (the principal pivot there).  That is the whole class:
-a normal binary delta-matroid D(B) determines B, and D(A * X) = D(A) * X
-and D(G + v) = D(G) + v (Bouchet, "Representability of Delta-matroids",
-1988; Brijder & Hoogeboom, "The group structure of pivot and loop
-complementation on graphs and set systems", European J. Combin. 32,
-2011), so every member twisted at its least feasible set is D(B) for one
-of those looped graphs B.
+Ribbon-graphic recognition first asks is_binary: ribbon-graphic
+delta-matroids are binary, and binary means no three-operation minor
+among the twisted duals of B1 and S3.  That leaves the twisted-duality
+class of D(G) for each circle obstruction G.  A normal binary
+delta-matroid D(B) determines B, and D(A * X) = D(A) * X and D(G + v) =
+D(G) + v (Bouchet, "Representability of Delta-matroids", 1988; Brijder &
+Hoogeboom, "The group structure of pivot and loop complementation on
+graphs and set systems", European J. Combin. 32, 2011), so every member
+twisted at its least feasible set is D(B) for a looped graph B reached
+from G by loop toggles and local complementations at looped vertices.
+Loop toggles make the loops free, and a local complementation at a
+looped vertex acts on the simple graph as a plain one, so the class is
+every loop pattern over the local-complementation orbit of G.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .duality import _b1_s3_dual_index
-from .gf2 import SymmetricBinaryMatrix, is_basic_binary, reconstruct_basic_matrix
+from .gf2 import SymmetricBinaryMatrix, is_basic_binary, is_binary, reconstruct_basic_matrix
 from .setsystem import SetSystem, popcount
 
 CIRCLE_GUARD = 9
@@ -490,28 +492,21 @@ def circle_word(graph: LoopedSimpleGraph) -> ChordDiagram | None:
 # local-complementation orbits and vertex minors
 
 
-def _key_closure(
-    seeds: Iterable[LoopedSimpleGraph],
-    moves: Callable[[LoopedSimpleGraph], list[LoopedSimpleGraph]],
-) -> frozenset[GraphKey]:
-    """Canonical keys of every graph reachable from the seeds by moves."""
-    seen = {graph_canonical_key(g) for g in seeds}
+def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
+    """Canonical keys of the local-complementation class of the graph."""
+    seen = {graph_canonical_key(graph)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for key in frontier:
-            for child in moves(graph_from_key(key)):
-                child_key = graph_canonical_key(child)
+            g = graph_from_key(key)
+            for v in g.labels:
+                child_key = graph_canonical_key(g.local_complement(v))
                 if child_key not in seen:
                     seen.add(child_key)
                     nxt.append(child_key)
         frontier = nxt
     return frozenset(seen)
-
-
-def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
-    """Canonical keys of the local-complementation class of the graph."""
-    return _key_closure([graph], lambda g: [g.local_complement(v) for v in g.labels])
 
 
 def is_vertex_minor(graph: LoopedSimpleGraph, target: LoopedSimpleGraph) -> bool:
@@ -586,54 +581,44 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
 
 
 @lru_cache(maxsize=None)
-def _circle_class(size: int) -> tuple[frozenset[GraphKey], frozenset[int]]:
-    """The looped-graph keys of the class of the circle obstructions with
-    size vertices (see the module docstring), and the family sizes |D(B)|
-    over them; each is built once per process."""
-    keys = _key_closure(
-        (g for g in circle_obstructions() if g.size == size),
-        lambda g: [g.loop_toggle(v) for v in g.labels]
-        + [g.local_complement(v) for i, v in enumerate(g.labels) if g.loops >> i & 1],
-    )
-    return keys, frozenset(len(graph_from_key(key).delta_matroid().feasible) for key in keys)
+def _circle_class(size: int) -> frozenset[GraphKey]:
+    """The simple-graph keys of the class of the circle obstructions with
+    size vertices: their LC orbits (see the module docstring), built once
+    per process."""
+    return frozenset().union(*(lc_orbit_keys(g) for g in circle_obstructions() if g.size == size))
 
 
-def _looped_graph_key(system: SetSystem) -> GraphKey | None:
-    """The key of the looped graph B with system * F = D(B) for its least
-    feasible set F, or None when that twist is not basic binary."""
+def _simple_graph_key(system: SetSystem) -> GraphKey | None:
+    """The key of the simple graph under the looped graph B with
+    system * F = D(B) for its least feasible set F, or None when that
+    twist is not basic binary."""
     t = system.twist(system.feasible[0])
     if not is_basic_binary(t):
         return None
     rows = reconstruct_basic_matrix(t).rows
-    loops = sum(row & (1 << i) for i, row in enumerate(rows))
-    return _canon_key_raw(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], loops)
+    return _canon_key_raw(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], 0)
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:
-    """No three-operation minor lies in an obstruction class.
+    """Binary, and no three-operation minor in a circle-obstruction class.
 
-    The obstruction classes are the twisted duals of B1, of S3, and of
-    the delta-matroids D(G) of the three circle obstructions; classes
-    larger than the ground set cannot occur and are skipped.  A minor is
-    in a circle-obstruction class iff its twist at its least feasible set
-    is basic binary and its looped graph has a key in the class's key set
-    (see the module docstring).  A twist keeps the number of feasible
-    sets, so a minor whose count no key's D(B) has is skipped unformed.
+    Binary settles the B1 and S3 obstructions (see the module docstring).
+    Only minors as large as a circle obstruction are then formed, so a
+    ground set smaller than all of them is never walked.  A minor is in a
+    class iff its twist at its least feasible set is basic binary and the
+    simple graph of its looped graph is in the obstruction's LC orbit.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
     n = system.size
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
-    small = _b1_s3_dual_index()
-    sizes = small.sizes.union(g.size for g in circle_obstructions() if g.size <= n)
-    full = system.full_mask
-    for x, y, z, leaf in system.iter_three_minors(sizes):
-        kept = full & ~(x | y | z)
-        if leaf in small.table(n, kept):
-            return False
-        keys, counts = _circle_class(kept.bit_count())
-        if leaf.bit_count() in counts and _looped_graph_key(system.three_minor(x, y, z)) in keys:
+    if not is_binary(system):
+        return False
+    sizes = frozenset(g.size for g in circle_obstructions() if g.size <= n)
+    for x, y, z, _ in system.iter_three_minors(sizes):
+        keys = _circle_class(n - (x | y | z).bit_count())
+        if _simple_graph_key(system.three_minor(x, y, z)) in keys:
             return False
     return True
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import catalog
-from .duality import _b1_s3_dual_index, dual_pivot, has_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
+from .duality import dual_pivot, has_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
 from .exchange import is_delta_matroid
 from .gf2 import SymmetricBinaryMatrix
 from .graphs import (
@@ -368,7 +368,7 @@ def verify_binary_corollary(max_n: int = 3) -> VerificationReport:
     def body(report: VerificationReport) -> None:
         from .gf2 import is_binary
 
-        entries = _b1_s3_dual_index()
+        entries = orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals()
         dm_count = 0
         for n in range(0, max_n + 1):
             for system in _all_proper_systems(n):

@@ -2,10 +2,12 @@
 
 Everything here works on frozensets of label strings or on plain 0/1
 lists (not bitmasks) and takes the shortest definitional route, so it
-shares no code with the library under test.  The one exception is
-ClosureTester, the labeled closure of a twisted-duality class, which
-checks the looped-graph form of the circle-obstruction classes in graphs
-against the closure BFS.
+shares no code with the library under test.  The two exceptions check
+the circle-obstruction classes in graphs, held there as LC orbits of
+simple graphs: ClosureTester, the labeled closure of a twisted-duality
+class, and looped_class_keys, the class as the canonical keys of the
+looped graphs reached by loop toggles at any vertex and local
+complementations at looped vertices.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import itertools
 
 from deltamatroids.duality import _labeled_closure
+from deltamatroids.graphs import graph_canonical_key, graph_from_key
 from deltamatroids.setsystem import SetSystem, _apply_perm
 
 
@@ -155,3 +158,24 @@ class ClosureTester:
 @functools.lru_cache(maxsize=None)
 def closure_tester(seed: SetSystem) -> ClosureTester:
     return ClosureTester(seed)
+
+
+def looped_class_keys(seeds) -> set:
+    """Canonical keys of every looped graph reachable from the seeds by a
+    loop toggle at any vertex or a local complementation at a looped
+    vertex (the principal pivot there)."""
+    seen = {graph_canonical_key(g) for g in seeds}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for key in frontier:
+            g = graph_from_key(key)
+            moves = [g.loop_toggle(v) for v in g.labels]
+            moves += [g.local_complement(v) for i, v in enumerate(g.labels) if g.loops >> i & 1]
+            for child in moves:
+                child_key = graph_canonical_key(child)
+                if child_key not in seen:
+                    seen.add(child_key)
+                    nxt.append(child_key)
+        frontier = nxt
+    return seen

@@ -10,7 +10,7 @@ import deltamatroids
 from deltamatroids import catalog, formats, verify
 from deltamatroids.cli import main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
-from deltamatroids.graphs import LoopedSimpleGraph
+from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions
 from deltamatroids.setsystem import SetSystem
 
 
@@ -52,6 +52,8 @@ _WRONG_TYPE_PAYLOADS = (
 _BAD_MATRIX_PAYLOADS = (
     '{"labels": ["a"], "rows": ["3"]}',
     '{"labels": ["a","b"], "rows": ["1","0"]}',
+    '{"labels": ["a"], "rows": [[1.7]]}',
+    '{"labels": ["a"], "rows": [["1"]]}',
 )
 
 
@@ -132,6 +134,19 @@ def test_check_s7(capsys):
         "vf-safe: no",
         "ribbon-graphic: no",
     ]
+
+
+def test_check_ribbon_at_its_guard(tmp_path, capsys):
+    """Eight-element verdicts that come from the circle-obstruction
+    classes, not from a B1 or S3 minor: both inputs are binary."""
+    c8 = tmp_path / "c8.txt"
+    c8.write_text("a-b, b-c, c-d, d-e, e-f, f-g, g-h, h-a, a-e")
+    g8 = tmp_path / "g8.json"
+    g8.write_text(formats.dumps(next(g for g in circle_obstructions() if g.size == 8)))
+    for path, verdict in ((c8, "yes"), (g8, "no")):
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "binary: yes" in out and out[-1] == f"ribbon-graphic: {verdict}"
 
 
 def test_python_m_runs_the_cli(capsys):

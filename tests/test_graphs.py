@@ -26,7 +26,7 @@ from deltamatroids.graphs import (
 from deltamatroids.gf2 import reconstruct_basic_matrix
 from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
-from _reference import all_double_occurrence_words, closure_tester, interlacement_ref
+from _reference import all_double_occurrence_words, closure_tester, interlacement_ref, looped_class_keys
 
 
 def graph(vertices, edges=(), loops=()):
@@ -357,25 +357,45 @@ def test_ribbon_testers_built_once_per_obstruction(monkeypatch):
     for n in (6, 7, 8, 6, 8):
         assert is_ribbon_graphic(SetSystem(tuple(f"x{i}" for i in range(n)), (0,)))
     assert {6, 7, 8} <= set(built) and set(built.values()) == {1}
-    assert [len(shared(k)[0]) for k in (6, 7, 8)] == [29, 560, 2711]
+    assert [len(shared(k)) for k in (6, 7, 8)] == [2, 9, 22]
+
+
+def every_loop_pattern(keys):
+    """The looped-graph keys of every loop mask on every graph of keys."""
+    out = set()
+    for key in keys:
+        g = graph_from_key(key)
+        out.update(graph_canonical_key(LoopedSimpleGraph(g.labels, g.adj, loops))
+                   for loops in range(1 << g.size))
+    return out
 
 
 def test_circle_class_keys_are_the_closure_normal_members():
-    """The looped-graph form of the 6-vertex obstruction class equals the
-    normal members of the labeled closure of its delta-matroid."""
+    """The 6-vertex obstruction class, as the normal members of the
+    labeled closure of its delta-matroid: their simple graphs are the
+    keys of _circle_class(6), and their looped graphs are every loop
+    pattern over those keys."""
     g6 = next(g for g in circle_obstructions() if g.size == 6)
     oracle = closure_tester(g6.delta_matroid())
-    expected = set()
+    looped, simple = set(), set()
     for feasible in oracle.families:
         if feasible[0] == 0:
             b = reconstruct_basic_matrix(SetSystem(g6.labels, feasible))
             assert b.delta_matroid().feasible == feasible
             loops = sum(row & (1 << i) for i, row in enumerate(b.rows))
             adj = tuple(row & ~(1 << i) for i, row in enumerate(b.rows))
-            expected.add(graph_canonical_key(LoopedSimpleGraph(b.labels, adj, loops)))
-    keys, counts = graphs._circle_class(6)
-    assert keys == expected and len(keys) == 29
-    assert counts == {len(f) for f in oracle.families}
+            looped.add(graph_canonical_key(LoopedSimpleGraph(b.labels, adj, loops)))
+            simple.add(graph_canonical_key(LoopedSimpleGraph(b.labels, adj, 0)))
+    keys = graphs._circle_class(6)
+    assert simple == keys and len(keys) == 2
+    assert looped == every_loop_pattern(keys)
+
+
+def test_circle_class_7_is_the_looped_graph_class():
+    """At 7 vertices the class built by loop toggles and looped local
+    complementations is every loop pattern over the LC orbit."""
+    g7 = [g for g in circle_obstructions() if g.size == 7]
+    assert looped_class_keys(g7) == every_loop_pattern(graphs._circle_class(7))
 
 
 def test_ribbon_recognition_at_its_guard():
