@@ -17,7 +17,6 @@ from .exchange import (
 from .duality import (
     Orbit,
     dual_pivot,
-    has_catalog_3_minor,
     find_catalog_3_minor,
     is_vf_safe,
     is_vf_safe_via_obstruction,
@@ -59,7 +58,6 @@ __all__ = [
     "find_catalog_3_minor",
     "find_circle_obstructions",
     "formats",
-    "has_catalog_3_minor",
     "is_basic_binary",
     "is_binary",
     "is_circle_graph",

@@ -169,7 +169,10 @@ def _cmd_verify(args) -> int:
     unused = [f"--{opt.replace('_', '-')}" for opt in given if opt not in takes]
     if unused:
         raise UsageError(f"suite {args.suite!r} does not take {', '.join(unused)}")
-    result = suite(**given)
+    try:
+        result = suite(**given)
+    except ValueError as exc:  # a guard, raised before any instance is checked
+        raise UsageError(str(exc)) from None
     reports = result if isinstance(result, list) else [result]
     failed = False
     for report in reports:

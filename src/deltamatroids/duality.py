@@ -212,10 +212,6 @@ def find_catalog_3_minor(
     return None
 
 
-def has_catalog_3_minor(system: SetSystem, entries: Sequence[SetSystem] | _CatalogIndex) -> bool:
-    return find_catalog_3_minor(system, entries) is not None
-
-
 @lru_cache(maxsize=1)
 def _s3_dual_index() -> _CatalogIndex:
     """The index of the twisted duals of S3."""
@@ -225,4 +221,4 @@ def _s3_dual_index() -> _CatalogIndex:
 def is_vf_safe_via_obstruction(system: SetSystem) -> bool:
     """Obstruction form of vf-safety: no three-operation minor is a
     twisted dual of S3."""
-    return not has_catalog_3_minor(system, _s3_dual_index())
+    return find_catalog_3_minor(system, _s3_dual_index()) is None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .gf2 import SymmetricBinaryMatrix, is_basic_binary, is_binary, reconstruct_basic_matrix
+from .gf2 import SymmetricBinaryMatrix, is_binary, reconstruct_basic_matrix
 from .setsystem import SetSystem, popcount
 
 CIRCLE_GUARD = 9
@@ -96,10 +96,6 @@ class LoopedSimpleGraph:
             return self.labels.index(v)
         except ValueError:
             raise ValueError(f"vertex {v!r} not in graph") from None
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        m = self.adj[self.vertex_index(v)]
-        return tuple(lab for i, lab in enumerate(self.labels) if m >> i & 1)
 
     def neighbor_mask(self, v: str) -> int:
         return self.adj[self.vertex_index(v)]
@@ -588,13 +584,11 @@ def _circle_class(size: int) -> frozenset[GraphKey]:
     return frozenset().union(*(lc_orbit_keys(g) for g in circle_obstructions() if g.size == size))
 
 
-def _simple_graph_key(system: SetSystem) -> GraphKey | None:
+def _simple_graph_key(system: SetSystem) -> GraphKey:
     """The key of the simple graph under the looped graph B with
-    system * F = D(B) for its least feasible set F, or None when that
-    twist is not basic binary."""
+    system * F = D(B) for its least feasible set F.  The system must be
+    binary, so that its twist onto F is basic binary."""
     t = system.twist(system.feasible[0])
-    if not is_basic_binary(t):
-        return None
     rows = reconstruct_basic_matrix(t).rows
     return _canon_key_raw(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], 0)
 
@@ -604,9 +598,10 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
 
     Binary settles the B1 and S3 obstructions (see the module docstring).
     Only minors as large as a circle obstruction are then formed, so a
-    ground set smaller than all of them is never walked.  A minor is in a
-    class iff its twist at its least feasible set is basic binary and the
-    simple graph of its looped graph is in the obstruction's LC orbit.
+    ground set smaller than all of them is never walked.  Every minor of
+    a binary system is binary, so its twist at its least feasible set is
+    basic binary, and the minor is in a class iff the simple graph of
+    that twist's looped graph is in the obstruction's LC orbit.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")

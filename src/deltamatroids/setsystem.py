@@ -279,16 +279,6 @@ class SetSystem:
         """Loop-complement at e, then contract e."""
         return self.loop_complement(self.element_bit(e)).contract(e)
 
-    def minor(self, delete_subset: SubsetLike, contract_subset: SubsetLike) -> SetSystem:
-        """Order-independent minor: delete X, contract Y, in closed form.
-
-        Requires a feasible witness F with Y <= F <= E - X; without one the
-        deletions and contractions would be order-dependent.  This is
-        three_minor with no penrose set: each F - Y comes from one F, so
-        every parity is odd.
-        """
-        return self.three_minor(delete_subset, contract_subset, 0)
-
     def three_minor(
         self,
         delete_subset: SubsetLike,

@@ -56,7 +56,7 @@ def all_proper_minors(s):
             if x_bits & y_bits or not (x_bits | y_bits):
                 continue
             try:
-                yield s.minor(x_bits, y_bits)
+                yield s.three_minor(x_bits, y_bits, 0)
             except UnrealizableMinorError:
                 continue
 

@@ -6,7 +6,6 @@ from deltamatroids import catalog
 from deltamatroids.duality import (
     dual_pivot,
     find_catalog_3_minor,
-    has_catalog_3_minor,
     is_vf_safe,
     is_vf_safe_via_obstruction,
     orbit,
@@ -112,9 +111,9 @@ def test_has_catalog_3_minor_examples():
     assert match is not None
     assert match.delete_mask == 0 and match.contract_mask == 0
     assert match.penrose_mask == s4.mask(["e4"])
-    assert not has_catalog_3_minor(catalog.get("B1"), duals)
+    assert find_catalog_3_minor(catalog.get("B1"), duals) is None
     b1 = catalog.get("B1")
-    assert has_catalog_3_minor(b1, [b1.canonical_form()])
+    assert find_catalog_3_minor(b1, [b1.canonical_form()]) is not None
 
 
 def test_obstruction_equivalence_exhaustive_small():

@@ -23,7 +23,7 @@ from deltamatroids.graphs import (
     is_vertex_minor,
     lc_orbit_keys,
 )
-from deltamatroids.gf2 import reconstruct_basic_matrix
+from deltamatroids.gf2 import SymmetricBinaryMatrix, is_basic_binary, is_binary, reconstruct_basic_matrix
 from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
 from _reference import all_double_occurrence_words, closure_tester, interlacement_ref, looped_class_keys
@@ -411,6 +411,30 @@ def test_ribbon_recognition_at_its_guard():
     assert not is_ribbon_graphic(d8)
     assert not is_ribbon_graphic(member)
     assert is_ribbon_graphic(c8.delta_matroid())
+
+
+def test_binary_minors_twist_to_basic_binary():
+    """_simple_graph_key needs no basic-binary guard: every minor that
+    is_ribbon_graphic walks in a binary system is binary, so its twist
+    onto its least feasible set is basic binary."""
+    rng = random.Random(31)
+    leaves = 0
+    for n in (6, 7, 8):
+        for _ in range(5):
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i + 1):
+                    if rng.getrandbits(1):
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            d = SymmetricBinaryMatrix(tuple("abcdefgh"[:n]), tuple(rows)).delta_matroid()
+            system = d.twist(rng.randrange(1 << n)).loop_complement(rng.randrange(1 << n))
+            assert is_binary(system)
+            for x, y, z, _ in system.iter_three_minors(frozenset({6, 7, 8})):
+                m = system.three_minor(x, y, z)
+                assert is_basic_binary(m.twist(m.feasible[0])), (system, x, y, z)
+                leaves += 1
+    assert leaves > 1000
 
 
 def test_dg_even_normal_and_vf_safe():

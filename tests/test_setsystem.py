@@ -187,9 +187,9 @@ def test_penrose_examples():
 
 def test_minor_closed_form():
     b1 = catalog.get("B1")
-    assert b1.minor(b1.mask(["a"]), b1.mask(["b"])) == sysf("c", "c")
-    assert S3.minor(0, 0) == S3
-    assert S3.minor(0, S3.full_mask) == SetSystem((), (0,))
+    assert b1.three_minor(b1.mask(["a"]), b1.mask(["b"]), 0) == sysf("c", "c")
+    assert S3.three_minor(0, 0, 0) == S3
+    assert S3.three_minor(0, S3.full_mask, 0) == SetSystem((), (0,))
 
 
 def test_minor_matches_reference_exhaustive_n3():
@@ -204,18 +204,18 @@ def test_minor_matches_reference_exhaustive_n3():
                 expected = minor_ref(ground, family, x, y)
                 if expected is None:
                     with pytest.raises(UnrealizableMinorError):
-                        s.minor(x_bits, y_bits)
+                        s.three_minor(x_bits, y_bits, 0)
                 else:
-                    got = s.minor(x_bits, y_bits)
+                    got = s.three_minor(x_bits, y_bits, 0)
                     assert (got.labels, family_of(got)) == expected
 
 
 def test_minor_errors():
     with pytest.raises(ValueError):
-        S3.minor(1, 1)
+        S3.three_minor(1, 1, 0)
     with pytest.raises(UnrealizableMinorError):
         # no feasible set avoids a and contains b
-        sysf("ab", "ab").minor(sysf("ab", "").mask(["a"]), 2)
+        sysf("ab", "ab").three_minor(sysf("ab", "").mask(["a"]), 2, 0)
 
 
 def test_three_minor_examples():
