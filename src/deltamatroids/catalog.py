@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .setsystem import SetSystem
 
@@ -146,16 +147,22 @@ def s3_twisted_duals() -> tuple[SetSystem, ...]:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """A named identity whose sides are built only when it is checked, so
+    a crash while building one is that identity's failure."""
+
     name: str
-    lhs: SetSystem
-    rhs: SetSystem
+    lhs: Callable[[], SetSystem]
+    rhs: Callable[[], SetSystem]
     relation: str  # "equal" or "isomorphic"
 
     @property
     def holds(self) -> bool:
         if self.relation == "equal":
-            return self.lhs == self.rhs
-        return self.lhs.is_isomorphic(self.rhs)
+            return self.lhs() == self.rhs()
+        return self.lhs().is_isomorphic(self.rhs())
+
+    def __str__(self) -> str:
+        return self.name
 
 
 def identity_suite() -> list[IdentityCheck]:
@@ -163,25 +170,26 @@ def identity_suite() -> list[IdentityCheck]:
     g = get
     s3_abc = _sys("abc", "", "abc")  # the S3 family on labels a, b, c
     checks = [
-        IdentityCheck("T1^* + c = S3", g("T1").dual().loop_complement(["c"]), s3_abc, "equal"),
-        IdentityCheck("T2^* + bc ~ T1", g("T2").dual().loop_complement(["b", "c"]), g("T1"), "isomorphic"),
-        IdentityCheck("T3 + a = T1", g("T3").loop_complement(["a"]), g("T1"), "equal"),
-        IdentityCheck("T4 + a = T2", g("T4").loop_complement(["a"]), g("T2"), "equal"),
-        IdentityCheck("T5 pen d = T1", g("T5").penrose_contract("d"), g("T1"), "equal"),
-        IdentityCheck("T6 pen d = T2", g("T6").penrose_contract("d"), g("T2"), "equal"),
-        IdentityCheck("T7 pen d = T4", g("T7").penrose_contract("d"), g("T4"), "equal"),
-        IdentityCheck("T8 pen d = T2", g("T8").penrose_contract("d"), g("T2"), "equal"),
-        IdentityCheck("D3 + abc = S3", g("D3").loop_complement(["a", "b", "c"]), s3_abc, "equal"),
-        IdentityCheck("B2 = S3 + abc", s3_abc.loop_complement(["a", "b", "c"]), g("B2"), "equal"),
-        IdentityCheck("B4 pen d = B2", g("B4").penrose_contract("d"), g("B2"), "equal"),
-        IdentityCheck("(B3 + a)^* = B1", g("B3").loop_complement(["a"]).dual(), g("B1"), "equal"),
-        IdentityCheck("B5 pen d ~ B3", g("B5").penrose_contract("d"), g("B3"), "isomorphic"),
+        IdentityCheck("T1^* + c = S3", lambda: g("T1").dual().loop_complement(["c"]), lambda: s3_abc, "equal"),
+        IdentityCheck("T2^* + bc ~ T1", lambda: g("T2").dual().loop_complement(["b", "c"]), lambda: g("T1"),
+                      "isomorphic"),
+        IdentityCheck("T3 + a = T1", lambda: g("T3").loop_complement(["a"]), lambda: g("T1"), "equal"),
+        IdentityCheck("T4 + a = T2", lambda: g("T4").loop_complement(["a"]), lambda: g("T2"), "equal"),
+        IdentityCheck("T5 pen d = T1", lambda: g("T5").penrose_contract("d"), lambda: g("T1"), "equal"),
+        IdentityCheck("T6 pen d = T2", lambda: g("T6").penrose_contract("d"), lambda: g("T2"), "equal"),
+        IdentityCheck("T7 pen d = T4", lambda: g("T7").penrose_contract("d"), lambda: g("T4"), "equal"),
+        IdentityCheck("T8 pen d = T2", lambda: g("T8").penrose_contract("d"), lambda: g("T2"), "equal"),
+        IdentityCheck("D3 + abc = S3", lambda: g("D3").loop_complement(["a", "b", "c"]), lambda: s3_abc, "equal"),
+        IdentityCheck("B2 = S3 + abc", lambda: s3_abc.loop_complement(["a", "b", "c"]), lambda: g("B2"), "equal"),
+        IdentityCheck("B4 pen d = B2", lambda: g("B4").penrose_contract("d"), lambda: g("B2"), "equal"),
+        IdentityCheck("(B3 + a)^* = B1", lambda: g("B3").loop_complement(["a"]).dual(), lambda: g("B1"), "equal"),
+        IdentityCheck("B5 pen d ~ B3", lambda: g("B5").penrose_contract("d"), lambda: g("B3"), "isomorphic"),
     ]
     for n in range(4, 9):
         checks.append(IdentityCheck(
             f"S{n} pen e{n} = S{n - 1}",
-            g(f"S{n}").penrose_contract(f"e{n}"),
-            g(f"S{n - 1}"),
+            lambda n=n: g(f"S{n}").penrose_contract(f"e{n}"),
+            lambda n=n: g(f"S{n - 1}"),
             "equal",
         ))
     return checks

@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"suite {args.suite!r} does not take {', '.join(unused)}")
     try:
         result = suite(**given)
-    except ValueError as exc:  # a guard, raised before any instance is checked
+    except ValueError as exc:  # a guard, or a suite that checks no instance
         raise UsageError(str(exc)) from None
     reports = result if isinstance(result, list) else [result]
     failed = False

@@ -1,9 +1,7 @@
 """Symmetric matrices over GF(2), principal pivoting, and binary recognition.
 
-Rows are stored as bitmasks over the column positions.  A single
-determinant uses Gaussian elimination with XOR row updates; the empty
-matrix counts as nonsingular so that the empty set is always feasible
-below.
+Rows are stored as bitmasks over the column positions.  The empty matrix
+counts as nonsingular, so the empty set is always feasible below.
 
 A principal pivot works on the tableau [I | A], whose row i is the integer
 1 << i | A_i << n: e_i in the low n bits and A e_i in the high n bits.  Its
@@ -30,37 +28,10 @@ ppt suite checks the pivoting identity D(A*X) = D(A) * X against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .setsystem import SetSystem, SubsetLike
-
-
-def det_gf2(rows: Sequence[int], n: int) -> int:
-    """Determinant (0 or 1) of an n x n matrix given as row bitmasks."""
-    rows = list(rows)
-    for col in range(n):
-        bit = 1 << col
-        pivot = -1
-        for r in range(col, n):
-            if rows[r] & bit:
-                pivot = r
-                break
-        if pivot < 0:
-            return 0
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        for r in range(col + 1, n):
-            if rows[r] & bit:
-                rows[r] ^= prow
-    return 1
-
-
-def _compress(row: int, positions: Sequence[int]) -> int:
-    out = 0
-    for j, p in enumerate(positions):
-        if row >> p & 1:
-            out |= 1 << j
-    return out
 
 
 def _principal_minors(rows: Sequence[int], k: int) -> int:
@@ -140,16 +111,6 @@ class SymmetricBinaryMatrix:
                 raise ValueError(f"label {lab!r} not in matrix") from None
         return m
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
-
-    def principal_nonsingular(self, subset: SubsetLike) -> bool:
-        """Is the principal submatrix on the subset nonsingular?"""
-        x = self.mask(subset)
-        positions = [i for i in range(self.size) if x >> i & 1]
-        sub = [_compress(self.rows[p], positions) for p in positions]
-        return det_gf2(sub, len(positions)) == 1
-
     def feasible_masks(self) -> tuple[int, ...]:
         """Masks of all nonsingular principal submatrices (the empty one
         included), in increasing order."""
@@ -223,8 +184,12 @@ def reconstruct_basic_matrix(system: SetSystem) -> SymmetricBinaryMatrix:
     return SymmetricBinaryMatrix(system.labels, tuple(rows))
 
 
+@lru_cache(maxsize=1)
 def is_basic_binary(system: SetSystem) -> bool:
-    """Normal, and reproduced exactly by its reconstructed matrix."""
+    """Normal, and reproduced exactly by its reconstructed matrix.
+
+    The last answer is kept: is_binary of a normal system, and
+    is_ribbon_graphic through it, ask again about an equal system."""
     if not system.is_proper:
         raise ValueError("requires a proper system")
     if system.feasible[0] != 0:

@@ -273,10 +273,8 @@ def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
     return result
 
 
-def graph_from_key(key: GraphKey, labels: Sequence[str] | None = None) -> LoopedSimpleGraph:
+def graph_from_key(key: GraphKey) -> LoopedSimpleGraph:
     n, lk, ak = key
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
     adj = [0] * n
     idx = 0
     for i in range(n):
@@ -285,15 +283,7 @@ def graph_from_key(key: GraphKey, labels: Sequence[str] | None = None) -> Looped
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             idx += 1
-    return LoopedSimpleGraph(tuple(labels), tuple(adj), lk)
-
-
-def is_graph_isomorphic(g: LoopedSimpleGraph, h: LoopedSimpleGraph) -> bool:
-    if g.size != h.size or popcount(g.loops) != popcount(h.loops):
-        return False
-    if sorted(map(popcount, g.adj)) != sorted(map(popcount, h.adj)):
-        return False
-    return graph_canonical_key(g) == graph_canonical_key(h)
+    return LoopedSimpleGraph(tuple(str(i) for i in range(n)), tuple(adj), lk)
 
 
 # ----------------------------------------------------------------------

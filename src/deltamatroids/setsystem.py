@@ -190,32 +190,14 @@ class SetSystem:
 
         Per element e, the family is replaced by its symmetric difference
         with {F + e : e not in F, F feasible}.  The element order does not
-        matter; loop_complement_by_parity is the order-free cross-check.
+        matter: the result is the parity form, where F is feasible in S+A
+        iff the number of feasible F' with F-A <= F' <= F is odd.
         """
         a = self.mask(subset)
         fam = set(self.feasible)
         for bit in iter_bits(a):
             fam ^= {m | bit for m in fam if not m & bit}
         return SetSystem(self.labels, tuple(sorted(fam)))
-
-    def loop_complement_by_parity(self, subset: SubsetLike) -> SetSystem:
-        """Direct parity form: F is feasible in S+A iff the number of
-        feasible F' with F-A <= F' <= F is odd.  Exponential in the ground
-        size; kept as an independent oracle for the folded version.
-        """
-        a = self.mask(subset)
-        if self.size > 16:
-            raise ValueError("parity evaluation limited to 16 elements")
-        out = []
-        for f in range(1 << self.size):
-            lower = f & ~a
-            count = 0
-            for fp in self.feasible:
-                if fp & lower == lower and fp | f == f:
-                    count += 1
-            if count & 1:
-                out.append(f)
-        return SetSystem(self.labels, tuple(out))
 
     # ------------------------------------------------------------------
     # element classification

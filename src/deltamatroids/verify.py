@@ -10,7 +10,8 @@ through VerificationReport.check_each, which counts each case and records
 an exception raised on one case as that case's failure.  A seeded case
 carries its own seed as an int, so a crash line is the same in every run.
 A bound a suite refuses (EXHAUSTIVE_GUARD, or a library guard) raises
-ValueError before any case is built.
+ValueError before any case is built, and a suite that checks no instance
+raises ValueError: a report of zero instances shows nothing.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def _run(suite: str, body: Callable[[VerificationReport], None]) -> Verification
     t0 = time.perf_counter()
     body(report)
     report.wall_time = time.perf_counter() - t0
+    if report.instances == 0:
+        raise ValueError(f"{suite} checks no instance")
     return report
 
 
@@ -174,7 +177,7 @@ def verify_tables() -> VerificationReport:
 
 
 def _check_identity(c: catalog.IdentityCheck) -> list[Failure]:
-    return [] if c.holds else [(c.name, c.relation, f"lhs={c.lhs} rhs={c.rhs}")]
+    return [] if c.holds else [(c.name, c.relation, f"lhs={c.lhs()} rhs={c.rhs()}")]
 
 
 def verify_identities() -> VerificationReport:

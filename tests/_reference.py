@@ -1,5 +1,11 @@
 """Independent brute-force reference implementations for the tests.
 
+These are the slow, definitional oracles that the library's fast paths
+are checked against; the library ships none of them.  loop_complement_ref
+checks the folded loop complementation, det_elimination_ref (itself
+checked by det_permanent_ref) the principal determinants behind
+feasible_masks, and ppt_ref the tableau pivot.
+
 Everything here works on frozensets of label strings or on plain 0/1
 lists (not bitmasks) and takes the shortest definitional route, so it
 shares no code with the library under test.  The two exceptions check
@@ -64,6 +70,21 @@ def minor_ref(ground, family, delete: frozenset, contract: frozenset):
     if not kept:
         return None
     return tuple(x for x in ground if x not in delete | contract), frozenset(kept)
+
+
+def det_elimination_ref(entries) -> int:
+    """GF(2) determinant by Gaussian elimination on a copy of the rows."""
+    rows = [list(row) for row in entries]
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[col])]
+    return 1
 
 
 def det_permanent_ref(entries) -> int:

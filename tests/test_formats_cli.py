@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import deltamatroids
-from deltamatroids import catalog, formats, verify
+from deltamatroids import catalog, formats, gf2, verify
 from deltamatroids.cli import main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions
@@ -147,6 +147,21 @@ def test_check_ribbon_at_its_guard(tmp_path, capsys):
         assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "binary: yes" in out and out[-1] == f"ribbon-graphic: {verdict}"
+
+
+def test_check_reconstructs_the_basic_matrix_once(tmp_path, monkeypatch, capsys):
+    """The basic-binary, binary and ribbon-graphic lines share one
+    reconstruction of a normal input."""
+    path = tmp_path / "p5.txt"
+    path.write_text("a-b, b-c, c-d, d-e")
+    calls = []
+    real = gf2.reconstruct_basic_matrix
+    monkeypatch.setattr(gf2, "reconstruct_basic_matrix", lambda system: calls.append(system) or real(system))
+    gf2.is_basic_binary.cache_clear()
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == ["basic-binary: yes", "binary: yes", "vf-safe: yes", "ribbon-graphic: yes"]
+    assert len(calls) == 1
 
 
 def test_python_m_runs_the_cli(capsys):

@@ -6,14 +6,13 @@ from deltamatroids import catalog
 from deltamatroids.exchange import check_symmetric_exchange, is_delta_matroid, is_even, is_normal
 from deltamatroids.gf2 import (
     SymmetricBinaryMatrix,
-    det_gf2,
     is_basic_binary,
     is_binary,
     reconstruct_basic_matrix,
 )
 from deltamatroids.setsystem import SetSystem, popcount
 
-from _reference import det_permanent_ref, ppt_ref
+from _reference import det_elimination_ref, det_permanent_ref, ppt_ref
 
 
 def matrix(labels, *rows):
@@ -53,17 +52,14 @@ def test_det_matches_permutation_expansion():
     for _ in range(200):
         n = rng.randint(0, 4)
         entries = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
-        rows = tuple(sum(v << j for j, v in enumerate(row)) for row in entries)
-        assert det_gf2(rows, n) == det_permanent_ref(entries)
+        assert det_elimination_ref(entries) == det_permanent_ref(entries)
 
 
 def test_principal_nonsingular_examples():
     swap = matrix("12", "01", "10")
-    assert swap.principal_nonsingular(["1", "2"])
-    assert swap.principal_nonsingular(0)
-    assert not swap.principal_nonsingular(["1"])
+    assert swap.feasible_masks() == (0, swap.mask(["1", "2"]))  # not {1} or {2}
     with pytest.raises(ValueError):
-        swap.principal_nonsingular(1 << 5)
+        swap.mask(1 << 5)
 
 
 def test_zero_diagonal_odd_subsets_singular():
@@ -74,9 +70,7 @@ def test_zero_diagonal_odd_subsets_singular():
         zero_diag = SymmetricBinaryMatrix(
             m.labels, tuple(row & ~(1 << i) for i, row in enumerate(m.rows))
         )
-        for x in range(1 << n):
-            if popcount(x) % 2 == 1:
-                assert not zero_diag.principal_nonsingular(x)
+        assert all(popcount(x) % 2 == 0 for x in zero_diag.feasible_masks())
 
 
 def test_ppt_examples():
@@ -122,7 +116,12 @@ def test_ppt_matches_definition_random():
 
 
 def _feasible_by_elimination(m):
-    return tuple(x for x in range(1 << m.size) if m.principal_nonsingular(x))
+    out = []
+    for x in range(1 << m.size):
+        positions = [i for i in range(m.size) if x >> i & 1]
+        if det_elimination_ref([[m.rows[i] >> j & 1 for j in positions] for i in positions]):
+            out.append(x)
+    return tuple(out)
 
 
 def test_feasible_masks_match_elimination_exhaustive_small():

@@ -18,7 +18,6 @@ from deltamatroids.graphs import (
     graph_canonical_key,
     graph_from_key,
     is_circle_graph,
-    is_graph_isomorphic,
     is_ribbon_graphic,
     is_vertex_minor,
     lc_orbit_keys,
@@ -185,7 +184,6 @@ def test_canonical_key_invariant_under_relabeling():
                 loops |= 1 << perm[i]
         h = LoopedSimpleGraph(g.labels, tuple(adj), loops)
         assert graph_canonical_key(g) == graph_canonical_key(h)
-        assert is_graph_isomorphic(g, h)
 
 
 def test_connected_graph_counts():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from deltamatroids.exchange import is_delta_matroid, is_even, is_normal
 from deltamatroids.setsystem import ElementClass, SetSystem
 
+from _reference import family_of, loop_complement_ref, to_sets
+
 
 @st.composite
 def proper_systems(draw, max_n=5):
@@ -58,9 +60,11 @@ def test_triple_alternation(case):
 @given(proper_systems(max_n=4))
 @settings(max_examples=60)
 def test_loop_complement_fold_matches_parity_oracle(s):
+    ground, family = to_sets(s)
     full = s.full_mask
     for a in (full, full >> 1, 1):
-        assert s.loop_complement(a) == s.loop_complement_by_parity(a)
+        expected = loop_complement_ref(ground, family, frozenset(s.subset_labels(a)))
+        assert family_of(s.loop_complement(a)) == expected
 
 
 @given(systems_with_subset())

@@ -126,7 +126,6 @@ def test_loop_complement_fold_matches_parity_definition_exhaustive_n3():
             a = frozenset(l for i, l in enumerate(ground) if a_bits >> i & 1)
             expected = loop_complement_ref(ground, family, a)
             assert family_of(s.loop_complement(a_bits)) == expected
-            assert s.loop_complement(a_bits) == s.loop_complement_by_parity(a_bits)
 
 
 def test_loop_complement_element_order_irrelevant():

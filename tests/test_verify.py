@@ -108,6 +108,38 @@ def test_guard_violations_exit_2_before_any_work(argv, capsys):
     assert "guard: over" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["main-theorem", "--max-n", "2"],
+    ["rg-consistency", "--max-n", "0"],
+    ["binary-corollary", "--max-n", "-1"],
+    ["ppt", "--trials", "-3"],
+    ["interactions", "--trials", "0"],
+    ["graph-bridge", "--trials", "0"],
+    ["circle-obstructions", "--max-n", "0"],
+])
+def test_a_suite_that_checks_no_instance_is_a_usage_error(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks no instance" in captured.err
+
+
+def test_a_crash_while_building_an_identity_is_that_identitys_failure(monkeypatch, capsys):
+    def crash(self, e):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(SetSystem, "penrose_contract", crash)
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "identities"]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[0] == "FAIL identities: 18 instances, 11 failures"
+    assert "  failure: T5 pen d = T1 | expected no exception | got RuntimeError('injected')" in lines
+    assert all(" pen " in line for line in lines[1:])
+
+
 def test_circle_obstruction_recheck_does_not_use_the_circle_cache(monkeypatch):
     def refuse(graph):
         raise AssertionError("the re-check must not consult is_circle_graph")
