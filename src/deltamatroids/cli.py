@@ -101,21 +101,14 @@ def _cmd_check(args) -> int:
         print(f"delta-matroid: no ({witness.describe(system)})")
     print(f"even: {_yesno(is_even(system))}")
     print(f"normal: {_yesno(is_normal(system))}")
-    skipped = "skipped (ground set over guard)"
-    if system.size <= _CHECK_BINARY_GUARD:
-        print(f"basic-binary: {_yesno(is_basic_binary(system))}")
-        print(f"binary: {_yesno(is_binary(system))}")
-    else:
-        print(f"basic-binary: {skipped}")
-        print(f"binary: {skipped}")
-    if system.size <= _CHECK_VF_GUARD:
-        print(f"vf-safe: {_yesno(is_vf_safe_via_obstruction(system))}")
-    else:
-        print(f"vf-safe: {skipped}")
-    if system.size <= RIBBON_GUARD:
-        print(f"ribbon-graphic: {_yesno(is_ribbon_graphic(system))}")
-    else:
-        print(f"ribbon-graphic: {skipped}")
+    for name, guard, test in (
+        ("basic-binary", _CHECK_BINARY_GUARD, is_basic_binary),
+        ("binary", _CHECK_BINARY_GUARD, is_binary),
+        ("vf-safe", _CHECK_VF_GUARD, is_vf_safe_via_obstruction),
+        ("ribbon-graphic", RIBBON_GUARD, is_ribbon_graphic),
+    ):
+        verdict = _yesno(test(system)) if system.size <= guard else "skipped (ground set over guard)"
+        print(f"{name}: {verdict}")
     return 0
 
 

@@ -50,57 +50,50 @@ class Orbit:
     complementations.
 
     members are sorted; canonical forms when built up to isomorphism.
-    generator_log maps each labeled member's feasible tuple to its BFS
-    parent and the generating operation ("*x" or "+x"), None for the seed.
     """
 
     members: tuple[SetSystem, ...]
-    generator_log: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None]
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-def _labeled_closure(system: SetSystem):
-    """BFS over feasible tuples under {*e, +e}; returns (states, log)."""
+def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
+    """BFS under {*e, +e}; every labeled member keyed by its feasible
+    tuple, in discovery order."""
     if system.size > ORBIT_GUARD:
         raise ValueError(f"orbit guard: ground sets over {ORBIT_GUARD} elements")
-    labels = system.labels
-    bits = [(1 << i, labels[i]) for i in range(system.size)]
-    seed = system.feasible
-    log: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {seed: None}
+    bits = [1 << i for i in range(system.size)]
+    states = {system.feasible: system}
     frontier = [system]
     while frontier:
         nxt = []
         for s in frontier:
-            for bit, lab in bits:
-                for child, op in ((s.twist(bit), f"*{lab}"),
-                                  (s.loop_complement(bit), f"+{lab}")):
-                    if child.feasible not in log:
-                        log[child.feasible] = (s.feasible, op)
+            for bit in bits:
+                for child in (s.twist(bit), s.loop_complement(bit)):
+                    if child.feasible not in states:
+                        states[child.feasible] = child
                         nxt.append(child)
         frontier = nxt
-    return log
+    return states
 
 
 def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
     """Breadth-first twisted-duality closure of a proper set system."""
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
-    log = _labeled_closure(system)
-    labels = system.labels
+    states = _labeled_closure(system)
     if up_to_iso:
         reps: dict[tuple, SetSystem] = {}
-        for feas in log:
-            s = SetSystem(labels, feas)
+        for s in states.values():
             key = canonical_key(s)
             if key not in reps:
                 reps[key] = s.canonical_form()
         members = tuple(sorted(reps.values(), key=lambda s: s.feasible))
     else:
-        members = tuple(SetSystem(labels, feas) for feas in sorted(log))
-    return Orbit(members, log)
+        members = tuple(states[feas] for feas in sorted(states))
+    return Orbit(members)
 
 
 # vf-safety is constant on a twisted-duality class, so one closure
@@ -117,8 +110,7 @@ def is_vf_safe(system: SetSystem) -> bool:
     if hit is not None:
         return hit
     states = _labeled_closure(system)
-    labels = system.labels
-    safe = all(is_delta_matroid_cached(SetSystem(labels, feas)) for feas in states)
+    safe = all(is_delta_matroid_cached(s) for s in states.values())
     n = system.size
     for feas in states:
         _vf_cache[(n, feas)] = safe

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from deltamatroids.duality import _labeled_closure
+from deltamatroids.duality import orbit
 from deltamatroids.graphs import graph_canonical_key, graph_from_key
 from deltamatroids.setsystem import SetSystem, _apply_perm
 
@@ -160,7 +160,7 @@ class ClosureTester:
 
     def __init__(self, seed: SetSystem):
         self.seed = seed
-        self.families = frozenset(_labeled_closure(seed))
+        self.families = frozenset(m.feasible for m in orbit(seed).members)
         self.profiles = {self._profile(f) for f in self.families}
 
     @staticmethod

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from deltamatroids import catalog
@@ -79,3 +82,26 @@ def test_b_family_are_delta_matroids():
 
 def test_b2_not_vf_safe():
     assert not is_vf_safe(catalog.get("B2"))
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The deltamatroids modules a source file imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["deltamatroids" if node.level else "", node.module]))
+            # `from . import x` and `from deltamatroids import x` import modules by name
+            names = [f"{module}.{a.name}" for a in node.names] if module == "deltamatroids" else [module]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("deltamatroids."))
+    return found
+
+
+def test_catalog_imports_only_setsystem():
+    """The catalog is plain data over SetSystem: the S3 table is checked
+    by `verify tables`, so catalog needs nothing from duality."""
+    source = Path(__file__).resolve().parents[1] / "src" / "deltamatroids" / "catalog.py"
+    assert _package_imports(source) == {"setsystem"}

@@ -13,6 +13,8 @@ from deltamatroids.duality import (
 )
 from deltamatroids.setsystem import SetSystem, canonical_key
 
+from _reference import family_of, loop_complement_ref, to_sets, twist_ref
+
 
 def sysf(labels, *sets):
     return SetSystem.from_sets(tuple(labels), [tuple(s) for s in sets])
@@ -48,7 +50,6 @@ def test_orbit_examples():
     assert orbit(SetSystem((), (0,))).size == 1
     small = orbit(sysf("e", ""))
     assert small.size == 3
-    assert small.generator_log[(0,)] is None  # the seed
 
 
 def test_orbit_guard():
@@ -65,18 +66,33 @@ def test_orbit_membership_symmetric():
         assert s.feasible in {m.feasible for m in orbit(t).members}
 
 
-def test_generator_log_is_spanning():
-    s = catalog.get("S3")
-    log = orbit(s).generator_log
-    # every state walks back to the seed
-    for state in log:
-        seen = set()
-        cur = state
-        while log[cur] is not None:
-            assert cur not in seen
-            seen.add(cur)
-            cur = log[cur][0]
-        assert cur == s.feasible
+def _closure_ref(system):
+    """Feasible families reached from the system by single-element
+    twists and loop complementations, by definition on frozensets."""
+    ground, family = to_sets(system)
+    seen = {family}
+    frontier = [family]
+    while frontier:
+        nxt = []
+        for fam in frontier:
+            for e in ground:
+                a = frozenset([e])
+                for child in (twist_ref(fam, a), loop_complement_ref(ground, fam, a)):
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        frontier = nxt
+    return seen
+
+
+def test_orbit_members_are_the_definitional_closure():
+    rng = random.Random(12)
+    systems = [s for n in range(3) for s in all_proper(n)]
+    systems += [SetSystem(tuple("abc"), tuple(i for i in range(8) if bits >> i & 1))
+                for bits in rng.sample(range(1, 256), 20)]
+    for s in systems:
+        got = {family_of(m) for m in orbit(s).members}
+        assert got == _closure_ref(s), str(s)
 
 
 def test_dual_pivot_examples():

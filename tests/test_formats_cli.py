@@ -264,14 +264,25 @@ def test_verify_has_no_jobs_option(capsys):
 
 
 def test_check_skips_over_guard_fields(tmp_path, capsys):
-    labels = [f"x{i}" for i in range(13)]
-    p = tmp_path / "big.json"
-    p.write_text(json.dumps({"ground": labels, "feasible": [[]]}))
-    assert main(["check", str(p)]) == 0
-    out = capsys.readouterr().out
-    assert "vf-safe: skipped (ground set over guard)" in out
-    assert "ribbon-graphic: skipped (ground set over guard)" in out
-    assert "basic-binary: yes" in out  # still under the 2^n guard
+    """13 elements are over the vf-safe and ribbon guards only; 17 are
+    over the 2^n guard of basic-binary and binary too."""
+    skipped = "skipped (ground set over guard)"
+    for n, binary in ((13, "yes"), (17, skipped)):
+        labels = [f"x{i}" for i in range(n)]
+        p = tmp_path / f"big{n}.json"
+        p.write_text(json.dumps({"ground": labels, "feasible": [[]]}))
+        assert main(["check", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ground: {' '.join(labels)}",
+            "proper: yes",
+            "delta-matroid: yes",
+            "even: yes",
+            "normal: yes",
+            f"basic-binary: {binary}",
+            f"binary: {binary}",
+            f"vf-safe: {skipped}",
+            f"ribbon-graphic: {skipped}",
+        ]
 
 
 def test_orbit_guard_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from deltamatroids import verify
+from deltamatroids import catalog, verify
 from deltamatroids.cli import main
 from deltamatroids.graphs import LoopedSimpleGraph
 from deltamatroids.setsystem import SetSystem
@@ -98,6 +98,7 @@ def test_a_crashing_interactions_case_prints_the_same_line_every_run(monkeypatch
     ["rg-consistency", "--max-n", "9"],
     ["main-theorem", "--max-n", "5"],
     ["binary-corollary", "--max-n", "5"],
+    ["ppt", "--max-n", "11"],
 ])
 def test_guard_violations_exit_2_before_any_work(argv, capsys):
     t0 = time.perf_counter()
@@ -116,12 +117,28 @@ def test_guard_violations_exit_2_before_any_work(argv, capsys):
     ["interactions", "--trials", "0"],
     ["graph-bridge", "--trials", "0"],
     ["circle-obstructions", "--max-n", "0"],
+    ["ppt", "--max-n", "0"],
 ])
 def test_a_suite_that_checks_no_instance_is_a_usage_error(argv, capsys):
     assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "checks no instance" in captured.err
+
+
+@pytest.fixture
+def fresh_s3_table():
+    catalog.s3_twisted_duals.cache_clear()
+    yield
+    catalog.s3_twisted_duals.cache_clear()
+
+
+def test_a_wrong_s3_transcription_fails_tables(monkeypatch, fresh_s3_table, capsys):
+    tables = list(catalog._S3_TABLES)
+    tables[1] = ("a", "ab", "abc")  # S3 * a with one family altered
+    monkeypatch.setattr(catalog, "_S3_TABLES", tuple(tables))
+    assert main(["verify", "tables"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL tables:")
 
 
 def test_a_crash_while_building_an_identity_is_that_identitys_failure(monkeypatch, capsys):
