@@ -14,13 +14,6 @@ from typing import Callable
 from .setsystem import SetSystem
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    system: SetSystem
-    source: str
-
-
 def _sys(labels: str | tuple[str, ...], *sets: str) -> SetSystem:
     """Compact constructor: _sys("abc", "", "ab", "abc")."""
     labels = tuple(labels)
@@ -32,50 +25,39 @@ def _s_chain(i: int) -> SetSystem:
     return SetSystem.from_sets(labels, [(), labels])
 
 
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _add(name: str, system: SetSystem, source: str) -> None:
-    _ENTRIES[name] = CatalogEntry(name, system, source)
-
-
-_add("D3", _sys("abc", "", "a", "b", "c", "ab", "ac", "bc"),
-     "delta-matroid whose full loop complementation is not one")
-for _i in range(2, 9):
-    _add(f"S{_i}", _s_chain(_i),
-         "excluded-minor chain for delta-matroids" if _i >= 3 else "two-element twist pair")
-_add("T1", _sys("abc", "", "ab", "abc"), "excluded minor for delta-matroids")
-_add("T2", _sys("abc", "", "ab", "ac", "abc"), "excluded minor for delta-matroids")
-_add("T3", _sys("abc", "", "a", "ab", "abc"), "excluded minor for delta-matroids")
-_add("T4", _sys("abc", "", "a", "ab", "ac", "abc"), "excluded minor for delta-matroids")
-_add("T5", _sys("abcd", "", "ab", "abcd"), "excluded minor for delta-matroids")
-_add("T6", _sys("abcd", "", "ab", "ac", "abcd"), "excluded minor for delta-matroids")
-_add("T7", _sys("abcd", "", "ab", "ac", "ad", "abcd"), "excluded minor for delta-matroids")
-_add("T8", _sys("abcd", "", "a", "ab", "ac", "ad", "abcd"), "excluded minor for delta-matroids")
-_add("B1", _sys("abc", "", "ab", "ac", "bc", "abc"), "excluded minor for binary delta-matroids")
-_add("B2", _sys("abc", "", "a", "b", "c", "ab", "ac", "bc"),
-     "excluded minor for binary delta-matroids (equals D3)")
-_add("B3", _sys("abc", "", "b", "c", "ab", "ac", "abc"),
-     "excluded minor for binary delta-matroids")
-_add("B4", _sys("abcd", "", "ab", "ac", "ad", "bc", "bd", "cd"),
-     "excluded minor for binary delta-matroids")
-_add("B5", _sys("abcd", "", "ab", "ad", "bc", "cd", "abcd"),
-     "excluded minor for binary delta-matroids")
+_ENTRIES: dict[str, SetSystem] = {
+    # delta-matroid whose full loop complementation is not one
+    "D3": _sys("abc", "", "a", "b", "c", "ab", "ac", "bc"),
+    # S2: two-element twist pair; S3 .. S8: excluded-minor chain for
+    # delta-matroids
+    **{f"S{i}": _s_chain(i) for i in range(2, 9)},
+    # excluded minors for delta-matroids
+    "T1": _sys("abc", "", "ab", "abc"),
+    "T2": _sys("abc", "", "ab", "ac", "abc"),
+    "T3": _sys("abc", "", "a", "ab", "abc"),
+    "T4": _sys("abc", "", "a", "ab", "ac", "abc"),
+    "T5": _sys("abcd", "", "ab", "abcd"),
+    "T6": _sys("abcd", "", "ab", "ac", "abcd"),
+    "T7": _sys("abcd", "", "ab", "ac", "ad", "abcd"),
+    "T8": _sys("abcd", "", "a", "ab", "ac", "ad", "abcd"),
+    # excluded minors for binary delta-matroids
+    "B1": _sys("abc", "", "ab", "ac", "bc", "abc"),
+    "B2": _sys("abc", "", "a", "b", "c", "ab", "ac", "bc"),  # equals D3
+    "B3": _sys("abc", "", "b", "c", "ab", "ac", "abc"),
+    "B4": _sys("abcd", "", "ab", "ac", "ad", "bc", "bd", "cd"),
+    "B5": _sys("abcd", "", "ab", "ad", "bc", "cd", "abcd"),
+}
 
 
 def names() -> list[str]:
     return sorted(_ENTRIES)
 
 
-def entry(name: str) -> CatalogEntry:
+def get(name: str) -> SetSystem:
     try:
         return _ENTRIES[name]
     except KeyError:
         raise KeyError(f"unknown catalog name {name!r}") from None
-
-
-def get(name: str) -> SetSystem:
-    return entry(name).system
 
 
 # ----------------------------------------------------------------------

@@ -137,9 +137,14 @@ def _cmd_classify(args) -> int:
 def _cmd_obstructions(args) -> int:
     if args.what != "circle":
         raise UsageError(f"unknown obstruction family {args.what!r}")
+    if args.max_n is not None and not args.rederive:
+        raise UsageError("--max-n needs --rederive")
+    max_n = 8 if args.max_n is None else args.max_n
+    if max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {max_n}")
     if args.rederive:
         try:
-            graphs = tuple(find_circle_obstructions(args.max_n))
+            graphs = tuple(find_circle_obstructions(max_n))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     else:
@@ -147,7 +152,7 @@ def _cmd_obstructions(args) -> int:
     for g in graphs:
         print(formats.dumps(g))
     if args.write:
-        formats.write_obstruction_cache(Path(args.write), graphs, args.max_n if args.rederive else 8)
+        formats.write_obstruction_cache(Path(args.write), graphs, max_n)
         print(f"wrote {args.write}", file=sys.stderr)
     return 0
 
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstructions", help="print derived obstruction graphs")
     p.add_argument("what", help="obstruction family (circle)")
     p.add_argument("--rederive", action="store_true", help="search instead of using the cache")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=None, help="with --rederive; default 8")
     p.add_argument("--write", default=None, help="write the cache file to a path")
     p.set_defaults(fn=_cmd_obstructions)
 

@@ -29,8 +29,8 @@ def twisted_duals_wrt(system: SetSystem, subset: SubsetLike) -> list[SetSystem]:
     a = system.mask(subset)
     sa = system.twist(a)
     pa = system.loop_complement(a)
-    words = [system, sa, pa, pa.twist(a), sa.loop_complement(a),
-             sa.loop_complement(a).twist(a)]
+    sap = sa.loop_complement(a)
+    words = [system, sa, pa, pa.twist(a), sap, sap.twist(a)]
     out: list[SetSystem] = []
     for w in words:
         if w not in out:
@@ -60,27 +60,22 @@ class Orbit:
 
 
 def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
-    """BFS under {*e, +e}; every labeled member keyed by its feasible
-    tuple, in discovery order."""
+    """Every labeled twisted dual, keyed by its feasible tuple.
+
+    Twists and loop complementations at different elements commute, and
+    at one element they generate the six words of twisted_duals_wrt, so
+    the closure is one pass of those six words per element.
+    """
     if system.size > ORBIT_GUARD:
         raise ValueError(f"orbit guard: ground sets over {ORBIT_GUARD} elements")
-    bits = [1 << i for i in range(system.size)]
     states = {system.feasible: system}
-    frontier = [system]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for bit in bits:
-                for child in (s.twist(bit), s.loop_complement(bit)):
-                    if child.feasible not in states:
-                        states[child.feasible] = child
-                        nxt.append(child)
-        frontier = nxt
+    for i in range(system.size):
+        states = {d.feasible: d for s in states.values() for d in twisted_duals_wrt(s, 1 << i)}
     return states
 
 
 def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
-    """Breadth-first twisted-duality closure of a proper set system."""
+    """Twisted-duality closure of a proper set system."""
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
     states = _labeled_closure(system)
@@ -112,8 +107,10 @@ def is_vf_safe(system: SetSystem) -> bool:
     states = _labeled_closure(system)
     safe = all(is_delta_matroid_cached(s) for s in states.values())
     n = system.size
-    for feas in states:
-        _vf_cache[(n, feas)] = safe
+    # s.feasible, not the dict's keys: a comprehension keeps the first of
+    # equal keys, a tuple that only the dict would otherwise hold
+    for s in states.values():
+        _vf_cache[(n, s.feasible)] = safe
     return safe
 
 

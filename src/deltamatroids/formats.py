@@ -5,7 +5,8 @@ Set system: {"ground": ["a","b"], "feasible": [[], ["a","b"]]}
 Matrix:     {"labels": ["1","2"], "rows": ["01","10"]}
 Graph:      {"vertices": ["a","b"], "edges": [["a","b"]], "loops": []}
 Graphs also parse from a one-line edge list such as "a-b, b-c, d, c-c"
-(lone name: isolated vertex; x-x: loop at x).
+(lone name: isolated vertex; x-x: loop at x; names are non-empty and
+hold no dash).
 
 Serialization uses canonical storage order so identical values produce
 identical bytes.
@@ -66,26 +67,29 @@ def graph_from_dict(data: dict[str, Any]) -> LoopedSimpleGraph:
 
 
 def graph_from_edge_text(text: str) -> LoopedSimpleGraph:
-    """Parse "a-b, b-c, d, c-c": edges, isolated vertices, loops."""
+    """Parse "a-b, b-c, d, c-c": edges, isolated vertices, loops.
+
+    Each token is name or name-name, with non-empty names that hold no
+    dash; text starting with [ or " is JSON that is not an object.
+    """
+    if text.lstrip().startswith(("[", '"')):
+        raise ValueError("unrecognized payload: JSON payloads are objects")
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     loops: list[str] = []
-
-    def note(v: str) -> None:
-        if v not in vertices:
-            vertices.append(v)
-
     for token in text.replace(",", " ").split():
-        if "-" in token:
-            u, v = token.split("-", 1)
-            note(u)
-            note(v)
+        ends = token.split("-")
+        if len(ends) > 2 or "" in ends:
+            raise ValueError(f"bad edge-list token {token!r} (use name or name-name)")
+        for v in ends:
+            if v not in vertices:
+                vertices.append(v)
+        if len(ends) == 2:
+            u, v = ends
             if u == v:
                 loops.append(u)
             else:
                 edges.append((u, v))
-        else:
-            note(token)
     return LoopedSimpleGraph.from_edges(vertices, edges, loops)
 
 

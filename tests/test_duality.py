@@ -87,9 +87,9 @@ def _closure_ref(system):
 
 def test_orbit_members_are_the_definitional_closure():
     rng = random.Random(12)
-    systems = [s for n in range(3) for s in all_proper(n)]
-    systems += [SetSystem(tuple("abc"), tuple(i for i in range(8) if bits >> i & 1))
-                for bits in rng.sample(range(1, 256), 20)]
+    systems = [s for n in range(4) for s in all_proper(n)]
+    systems += [SetSystem(tuple("abcd"), tuple(i for i in range(16) if bits >> i & 1))
+                for bits in rng.sample(range(1, 1 << 16), 10)]
     for s in systems:
         got = {family_of(m) for m in orbit(s).members}
         assert got == _closure_ref(s), str(s)

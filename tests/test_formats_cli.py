@@ -55,6 +55,8 @@ _BAD_MATRIX_PAYLOADS = (
     '{"labels": ["a"], "rows": [[1.7]]}',
     '{"labels": ["a"], "rows": [["1"]]}',
 )
+# not an edge list: JSON that is not an object, empty or dashed names
+_BAD_EDGE_TEXTS = ("[1,2]", '"ab"', "a-", "-b", "a-b-c", "a-b, c--d")
 
 
 def test_malformed_payloads():
@@ -65,7 +67,7 @@ def test_malformed_payloads():
     for text in _WRONG_TYPE_PAYLOADS:
         with pytest.raises(TypeError):
             formats.loads(text)
-    for text in _BAD_MATRIX_PAYLOADS:
+    for text in _BAD_MATRIX_PAYLOADS + _BAD_EDGE_TEXTS:
         with pytest.raises(ValueError):
             formats.loads(text)
 
@@ -201,7 +203,7 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["apply", "catalog:S3", "frob:e1"]) == 2
     assert main(["apply", "/no/such/file.json", "+a"]) == 2
     p = tmp_path / "bad.json"
-    for text in _WRONG_TYPE_PAYLOADS + _BAD_MATRIX_PAYLOADS:
+    for text in _WRONG_TYPE_PAYLOADS + _BAD_MATRIX_PAYLOADS + _BAD_EDGE_TEXTS:
         p.write_text(text)
         assert main(["check", str(p)]) == 2
     assert capsys.readouterr().out == ""
@@ -298,3 +300,6 @@ def test_obstructions_command(capsys):
     assert len(lines) == 3
     assert all('"vertices"' in l for l in lines)
     assert main(["obstructions", "nonsense"]) == 2
+    assert main(["obstructions", "circle", "--max-n", "3"]) == 2
+    assert main(["obstructions", "circle", "--rederive", "--max-n", "0"]) == 2
+    assert capsys.readouterr().out == ""

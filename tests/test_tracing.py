@@ -4,9 +4,12 @@ benchmark run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -30,3 +33,12 @@ def test_every_traced_cache_exists():
     for name, (mod, attr) in tracing.CACHES.items():
         module = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
         assert hasattr(module, attr), f"{name}: {mod}.{attr}"
+
+
+def test_benchmark_smoke_run_sees_every_traced_layer():
+    """Every workload, untraced and traced, at its smallest scale; a layer
+    a workload no longer calls is reported as a missed patch."""
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "patch missed" not in run.stdout
