@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 property failure, 2 usage error (including
-unknown names and guard violations).  Reports are deterministic on
-stdout; timing goes to stderr.
+unknown names, guard violations and files that cannot be read or
+written).  A reader that closes stdout early is not an error.  Reports
+are deterministic on stdout; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +39,11 @@ def _load_payload(ref: str):
     if not path.exists():
         raise UsageError(f"no such file: {ref}")
     try:
-        return formats.loads(path.read_text())
+        text = path.read_text()
+    except OSError as exc:  # a directory, no permission, ...
+        raise UsageError(f"cannot read {ref}: {exc.strerror or exc}") from None
+    try:
+        return formats.loads(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {ref}: {exc}") from None
 
@@ -149,11 +156,14 @@ def _cmd_obstructions(args) -> int:
             raise UsageError(str(exc)) from None
     else:
         graphs = circle_obstructions()
+    if args.write:  # before printing, so a failed write leaves stdout empty
+        try:
+            formats.write_obstruction_cache(Path(args.write), graphs, max_n)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.write}: {exc.strerror or exc}") from None
+        print(f"wrote {args.write}", file=sys.stderr)
     for g in graphs:
         print(formats.dumps(g))
-    if args.write:
-        formats.write_obstruction_cache(Path(args.write), graphs, max_n)
-        print(f"wrote {args.write}", file=sys.stderr)
     return 0
 
 
@@ -181,7 +191,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args makes a fresh
+    namespace per call, so one parser serves every call of main."""
     parser = argparse.ArgumentParser(
         prog="deltamatroids",
         description="Set-system duality algebra, classification, and verification suites.",
@@ -225,13 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed early, which is not an error.  Point fd 1 at
+        # devnull so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ These are the slow, definitional oracles that the library's fast paths
 are checked against; the library ships none of them.  loop_complement_ref
 checks the folded loop complementation, det_elimination_ref (itself
 checked by det_permanent_ref) the principal determinants behind
-feasible_masks, and ppt_ref the tableau pivot.
+feasible_masks, ppt_ref the tableau pivot, and first_exchange_witness_ref
+the witness order of check_symmetric_exchange.
 
 Everything here works on frozensets of label strings or on plain 0/1
 lists (not bitmasks) and takes the shortest definitional route, so it
@@ -62,6 +63,21 @@ def symmetric_exchange_ref(family) -> bool:
                 if not any(x ^ {u, v} in family for v in x ^ y):
                     return False
     return True
+
+
+def first_exchange_witness_ref(labels, family):
+    """The first (X, Y, u) violating symmetric exchange, or None: X and Y
+    in the order of their masks (bit i is labels[i]), u by label position."""
+    def mask(f):
+        return sum(1 << labels.index(e) for e in f)
+
+    order = sorted(family, key=mask)
+    for x in order:
+        for y in order:
+            for u in sorted(x ^ y, key=labels.index):
+                if not any(x ^ {u, v} in family for v in x ^ y):
+                    return x, y, u
+    return None
 
 
 def minor_ref(ground, family, delete: frozenset, contract: frozenset):

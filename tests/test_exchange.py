@@ -9,9 +9,10 @@ from deltamatroids.exchange import (
     is_even,
     is_normal,
 )
+from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.setsystem import SetSystem
 
-from _reference import family_of, symmetric_exchange_ref
+from _reference import family_of, first_exchange_witness_ref, symmetric_exchange_ref
 
 
 def sysf(labels, *sets):
@@ -69,6 +70,43 @@ def test_witness_is_genuine_exhaustive_n3():
             vb = 1 << v
             if d & vb:
                 assert (w.x ^ ub if vb == ub else w.x ^ ub ^ vb) not in feas
+
+
+def _seeded_matrix_delta_matroids(count, seed):
+    """D(A) of random symmetric 4-7-element matrices, each twisted by one
+    of its feasible sets."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(0, 1)
+        d = SymmetricBinaryMatrix.from_entries("abcdefg"[:n], rows).delta_matroid()
+        out.append(d.twist(rng.choice(d.feasible)))
+    return out
+
+
+def test_first_witness_matches_reference():
+    """The witness, not just the verdict, is the first in the documented
+    order: X by mask, then Y, then u by bit."""
+    rng = random.Random(16)
+    dms = _seeded_matrix_delta_matroids(40, seed=16)
+    toggled = []
+    for d in dms:  # one set toggled: a failure, often deep in the scan
+        fam = set(d.feasible) ^ {rng.randrange(d.full_mask + 1)}
+        if fam:
+            toggled.append(SetSystem(d.labels, tuple(sorted(fam))))
+    systems = [s for n in range(4) for s in all_proper(n)] + dms + toggled
+    witnessed = 0
+    for s in systems:
+        w = check_symmetric_exchange(s)
+        got = None if w is None else (frozenset(s.subset_labels(w.x)), frozenset(s.subset_labels(w.y)), w.u)
+        assert got == first_exchange_witness_ref(s.labels, family_of(s)), s
+        witnessed += w is not None
+    assert all(is_delta_matroid(d) for d in dms)
+    assert witnessed > len(toggled) // 2
 
 
 def test_even_normal_examples():

@@ -8,7 +8,7 @@ import pytest
 
 import deltamatroids
 from deltamatroids import catalog, formats, gf2, verify
-from deltamatroids.cli import main
+from deltamatroids.cli import build_parser, main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions
 from deltamatroids.setsystem import SetSystem
@@ -166,14 +166,67 @@ def test_check_reconstructs_the_basic_matrix_once(tmp_path, monkeypatch, capsys)
     assert len(calls) == 1
 
 
-def test_python_m_runs_the_cli(capsys):
+def _cli_process(argv):
+    """`python -m deltamatroids argv` in a fresh interpreter, on this
+    checkout's library, with stdout block-buffered as in a shell pipe."""
     src = str(Path(deltamatroids.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "deltamatroids", "check", "catalog:B1"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "deltamatroids", *argv], text=True, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _run_cli(argv):
+    """Exit code, stdout and stderr of `python -m deltamatroids argv`."""
+    proc = _cli_process(argv)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def test_python_m_runs_the_cli(capsys):
+    code, out, err = _run_cli(["check", "catalog:B1"])
+    assert code == 0, err
     assert main(["check", "catalog:B1"]) == 0
-    assert proc.stdout == capsys.readouterr().out
+    assert out == capsys.readouterr().out
+
+
+def test_one_parser_serves_many_calls(capsys):
+    """main reuses one parser; each call answers as a fresh process does."""
+    assert build_parser() is build_parser()
+    for argv in (["check", "catalog:S3"], ["verify", "tables"], ["orbit", "catalog:S2", "--labeled"],
+                 ["check", "catalog:NOPE"], ["check", "catalog:B1"], ["verify", "bogus-suite"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == _run_cli(argv)[:2], argv
+    assert code == 2
+
+
+# (argv, lines read before the reader closes or None to read all, exit code, stdout read)
+_NO_TRACEBACK_CASES = (
+    (["check", "{tmp}"], None, 2, ""),  # a directory
+    (["obstructions", "circle", "--write", "{tmp}/missing/x.json"], None, 2, ""),
+    (["check", "catalog:B1"], 0, 0, ""),  # closed before the buffered output is flushed
+    (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n"),  # far over a pipe buffer
+)
+
+
+def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
+    for argv, lines, expected_code, expected_out in _NO_TRACEBACK_CASES:
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if lines is None:
+            code, out, err = _run_cli(argv)
+        else:
+            proc = _cli_process(argv)
+            out = "".join(proc.stdout.readline() for _ in range(lines))
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, out) == (expected_code, expected_out), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        assert err.startswith("error: ") == (code == 2), (argv, err)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_check_witness_line(capsys):
