@@ -6,7 +6,8 @@ Matrix:     {"labels": ["1","2"], "rows": ["01","10"]}
 Graph:      {"vertices": ["a","b"], "edges": [["a","b"]], "loops": []}
 Graphs also parse from a one-line edge list such as "a-b, b-c, d, c-c"
 (lone name: isolated vertex; x-x: loop at x; names are non-empty and
-hold no dash).
+hold no dash).  Labels are JSON strings and list fields JSON lists;
+anything else raises TypeError.
 
 Serialization uses canonical storage order so identical values produce
 identical bytes.
@@ -25,6 +26,21 @@ from .graphs import LoopedSimpleGraph
 from .setsystem import SetSystem
 
 
+def _json_list(value: Any, field: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a JSON list")
+    return value
+
+
+def _label_list(value: Any, field: str) -> list[str]:
+    """A JSON list of string labels: numbers would reach the labels, and a
+    string would be read one character at a time."""
+    labels = _json_list(value, field)
+    if not all(isinstance(lab, str) for lab in labels):
+        raise TypeError(f"{field} must hold strings")
+    return labels
+
+
 def set_system_to_dict(system: SetSystem) -> dict[str, Any]:
     return {
         "ground": list(system.labels),
@@ -33,7 +49,8 @@ def set_system_to_dict(system: SetSystem) -> dict[str, Any]:
 
 
 def set_system_from_dict(data: dict[str, Any]) -> SetSystem:
-    return SetSystem.from_sets(data["ground"], data["feasible"])
+    feasible = [_label_list(fs, "a feasible set") for fs in _json_list(data["feasible"], "feasible")]
+    return SetSystem.from_sets(_label_list(data["ground"], "ground"), feasible)
 
 
 def matrix_to_dict(matrix: SymmetricBinaryMatrix) -> dict[str, Any]:
@@ -45,9 +62,9 @@ def matrix_to_dict(matrix: SymmetricBinaryMatrix) -> dict[str, Any]:
 
 
 def matrix_from_dict(data: dict[str, Any]) -> SymmetricBinaryMatrix:
-    labels = data["labels"]
-    entries = [[int(c) for c in row] if isinstance(row, str) else row for row in data["rows"]]
-    return SymmetricBinaryMatrix.from_entries(labels, entries)
+    entries = [[int(c) for c in row] if isinstance(row, str) else _json_list(row, "a row")
+               for row in _json_list(data["rows"], "rows")]
+    return SymmetricBinaryMatrix.from_entries(_label_list(data["labels"], "labels"), entries)
 
 
 def graph_to_dict(graph: LoopedSimpleGraph) -> dict[str, Any]:
@@ -60,9 +77,9 @@ def graph_to_dict(graph: LoopedSimpleGraph) -> dict[str, Any]:
 
 def graph_from_dict(data: dict[str, Any]) -> LoopedSimpleGraph:
     return LoopedSimpleGraph.from_edges(
-        data["vertices"],
-        [tuple(e) for e in data.get("edges", [])],
-        data.get("loops", []),
+        _label_list(data["vertices"], "vertices"),
+        [tuple(_label_list(e, "an edge")) for e in _json_list(data.get("edges", []), "edges")],
+        _label_list(data.get("loops", []), "loops"),
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 from .gf2 import SymmetricBinaryMatrix, is_binary, reconstruct_basic_matrix
@@ -214,14 +214,21 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
-    return _canon_key_raw(graph.size, graph.adj, graph.loops)
+    return _canon_key(graph.size, graph.adj, graph.loops)
+
+
+def _canon_key(n: int, adj: Sequence[int], loops: int) -> GraphKey:
+    """_canon_key_raw, memoized: LC orbits, deletions and ribbon minors revisit labeled graphs."""
+    cache_key = (n, tuple(adj), loops)
+    hit = _graph_canon_cache.get(cache_key)
+    if hit is None:
+        hit = _graph_canon_cache[cache_key] = _canon_key_raw(n, adj, loops)
+    return hit
 
 
 def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
-    cache_key = (n, tuple(adj), loops)
-    hit = _graph_canon_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    """The unmemoized search; connected_graph_keys calls it directly, as its
+    one-vertex extensions are labeled graphs that never recur."""
     best: tuple[int, int] | None = None
 
     def leaf(colors: list[int]) -> None:
@@ -268,9 +275,7 @@ def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
     init = [(loops >> v & 1, degrees[v]) for v in range(n)]
     remap = {s: i for i, s in enumerate(sorted(set(init)))}
     rec([remap[s] for s in init])
-    result = (n, best[0], best[1]) if best is not None else (0, 0, 0)
-    _graph_canon_cache[cache_key] = result
-    return result
+    return (n, best[0], best[1]) if best is not None else (0, 0, 0)
 
 
 def graph_from_key(key: GraphKey) -> LoopedSimpleGraph:
@@ -289,11 +294,10 @@ def graph_from_key(key: GraphKey) -> LoopedSimpleGraph:
 # ----------------------------------------------------------------------
 # enumeration of connected graphs up to isomorphism
 
-_connected_cache: dict[int, tuple[GraphKey, ...]] = {}
-
-
+@cache
 def connected_graph_keys(n: int) -> tuple[GraphKey, ...]:
-    """Canonical keys of all connected loopless graphs on n vertices.
+    """Canonical keys of all connected loopless graphs on n vertices, in
+    ascending order.
 
     Every connected graph on n vertices extends a connected graph on n-1
     vertices by one vertex with a nonempty neighbourhood (delete any
@@ -301,22 +305,16 @@ def connected_graph_keys(n: int) -> tuple[GraphKey, ...]:
     """
     if n < 1:
         return ()
-    hit = _connected_cache.get(n)
-    if hit is not None:
-        return hit
     if n == 1:
-        out: tuple[GraphKey, ...] = ((1, 0, 0),)
-    else:
-        found: set[GraphKey] = set()
-        for parent_key in connected_graph_keys(n - 1):
-            parent = graph_from_key(parent_key)
-            for nb in range(1, 1 << (n - 1)):
-                adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
-                adj.append(nb)
-                found.add(_canon_key_raw(n, adj, 0))
-        out = tuple(sorted(found))
-    _connected_cache[n] = out
-    return out
+        return ((1, 0, 0),)
+    found: set[GraphKey] = set()
+    for parent_key in connected_graph_keys(n - 1):
+        parent = graph_from_key(parent_key)
+        for nb in range(1, 1 << (n - 1)):
+            adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
+            adj.append(nb)
+            found.add(_canon_key_raw(n, adj, 0))
+    return tuple(sorted(found))
 
 
 # ----------------------------------------------------------------------
@@ -536,29 +534,29 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
     one representative per local-complementation class.
 
     Only connected graphs are scanned: a disconnected non-circle graph
-    has a non-circle component, which is a proper vertex minor.
+    has a non-circle component, which is a proper vertex minor.  Being
+    circle is an LC invariant (Bouchet, J. Combin. Theory Ser. B 60, 1994),
+    so each class is decided once, at its first key in the ascending walk:
+    LC keeps a graph connected on n vertices, so that key is the class's
+    least.  A non-circle class is an obstruction when every one-vertex
+    deletion of every member is circle.
     """
     if max_n > OBSTRUCTION_GUARD:
         raise ValueError(f"obstruction search guard: over {OBSTRUCTION_GUARD} vertices")
     out: list[LoopedSimpleGraph] = []
     for n in range(1, max_n + 1):
-        handled: set[GraphKey] = set()
+        seen: set[GraphKey] = set()
         for key in connected_graph_keys(n):
-            if key in handled:
+            if key in seen:
                 continue
             rep = graph_from_key(key)
+            cls = lc_orbit_keys(rep)
+            seen |= cls
             if is_circle_graph(rep):
                 continue
-            cls = lc_orbit_keys(rep)
-            handled |= cls
-            minimal = True
-            for member in cls:
-                g = graph_from_key(member)
-                if any(not is_circle_graph(g.delete_vertex(v)) for v in g.labels):
-                    minimal = False
-                    break
-            if minimal:
-                out.append(graph_from_key(min(cls)))
+            members = map(graph_from_key, cls)
+            if all(is_circle_graph(g.delete_vertex(v)) for g in members for v in g.labels):
+                out.append(rep)
     return out
 
 
@@ -580,7 +578,7 @@ def _simple_graph_key(system: SetSystem) -> GraphKey:
     binary, so that its twist onto F is basic binary."""
     t = system.twist(system.feasible[0])
     rows = reconstruct_basic_matrix(t).rows
-    return _canon_key_raw(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], 0)
+    return _canon_key(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], 0)
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:

@@ -14,7 +14,9 @@ the circle-obstruction classes in graphs, held there as LC orbits of
 simple graphs: ClosureTester, the labeled closure of a twisted-duality
 class, and looped_class_keys, the class as the canonical keys of the
 looped graphs reached by loop toggles at any vertex and local
-complementations at looped vertices.
+complementations at looped vertices.  circle_obstructions_ref uses the
+library's enumeration and LC orbits but decides every graph on its own
+with the uncached chord-word search.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 import itertools
 
 from deltamatroids.duality import orbit
-from deltamatroids.graphs import graph_canonical_key, graph_from_key
+from deltamatroids.graphs import circle_word, connected_graph_keys, graph_canonical_key, graph_from_key, lc_orbit_keys
 from deltamatroids.setsystem import SetSystem, _apply_perm
 
 
@@ -216,3 +218,20 @@ def looped_class_keys(seeds) -> set:
                     nxt.append(child_key)
         frontier = nxt
     return seen
+
+
+def circle_obstructions_ref(max_n: int) -> list:
+    """Least keys of the vertex-minor-minimal non-circle LC classes on at
+    most max_n vertices, found graph by graph: circle_word on every
+    connected graph, and on every one-vertex deletion of every member of a
+    non-circle graph's class."""
+    found = set()
+    for n in range(1, max_n + 1):
+        for key in connected_graph_keys(n):
+            if circle_word(graph_from_key(key)) is not None:
+                continue
+            cls = lc_orbit_keys(graph_from_key(key))
+            members = [graph_from_key(k) for k in cls]
+            if all(circle_word(g.delete_vertex(v)) is not None for g in members for v in g.labels):
+                found.add(min(cls))
+    return sorted(found)

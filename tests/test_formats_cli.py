@@ -48,6 +48,13 @@ _WRONG_TYPE_PAYLOADS = (
     '{"ground": 5, "feasible": []}',
     '{"labels": ["1"], "rows": [5]}',
     '{"vertices": ["a","b"], "edges": [["a","b"]], "loops": 3}',
+    # labels are strings, and a string is not read as a list of characters
+    '{"ground": [1, 2], "feasible": [[1]]}',
+    '{"vertices": [1, 2], "edges": [[1, 2]]}',
+    '{"labels": [1], "rows": ["1"]}',
+    '{"ground": "ab", "feasible": "ab"}',
+    '{"vertices": "abc", "edges": ["ab"]}',
+    '{"labels": "ab", "rows": ["01", "10"]}',
 )
 _BAD_MATRIX_PAYLOADS = (
     '{"labels": ["a"], "rows": ["3"]}',

@@ -25,7 +25,13 @@ from deltamatroids.graphs import (
 from deltamatroids.gf2 import SymmetricBinaryMatrix, is_basic_binary, is_binary, reconstruct_basic_matrix
 from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
-from _reference import all_double_occurrence_words, closure_tester, interlacement_ref, looped_class_keys
+from _reference import (
+    all_double_occurrence_words,
+    circle_obstructions_ref,
+    closure_tester,
+    interlacement_ref,
+    looped_class_keys,
+)
 
 
 def graph(vertices, edges=(), loops=()):
@@ -310,6 +316,16 @@ def test_circle_graphs_closed_under_vertex_minors():
                 assert is_circle_graph(rep.delete_vertex(v))
 
 
+def test_circle_is_constant_on_each_lc_class():
+    # Bouchet 1994; find_circle_obstructions decides a whole class by one member
+    for n in range(1, 8):
+        circle = {key: circle_word(graph_from_key(key)) is not None for key in connected_graph_keys(n)}
+        while circle:
+            key, verdict = circle.popitem()
+            for member in lc_orbit_keys(graph_from_key(key)) - {key}:
+                assert circle.pop(member) == verdict
+
+
 # ----------------------------------------------------------------------
 # obstructions and ribbon recognition
 
@@ -319,6 +335,13 @@ def test_find_circle_obstructions_small():
     found = find_circle_obstructions(6)
     assert len(found) == 1 and found[0].size == 6
     assert graph_canonical_key(wheel(5)) in lc_orbit_keys(found[0])
+
+
+def test_class_walk_matches_per_graph_derivation():
+    ref = circle_obstructions_ref(7)
+    for n in range(1, 8):
+        found = [graph_canonical_key(g) for g in find_circle_obstructions(n)]
+        assert found == [key for key in ref if key[0] <= n]
 
 
 def test_cached_obstructions():
