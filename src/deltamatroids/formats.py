@@ -7,7 +7,8 @@ Graph:      {"vertices": ["a","b"], "edges": [["a","b"]], "loops": []}
 Graphs also parse from a one-line edge list such as "a-b, b-c, d, c-c"
 (lone name: isolated vertex; x-x: loop at x; names are non-empty and
 hold no dash).  Labels are JSON strings and list fields JSON lists;
-anything else raises TypeError.
+anything else raises TypeError.  A missing field, a label outside the
+labels or a matrix entry other than 0 or 1 raises ValueError naming it.
 
 Serialization uses canonical storage order so identical values produce
 identical bytes.
@@ -24,6 +25,13 @@ from typing import Any
 from .gf2 import SymmetricBinaryMatrix
 from .graphs import LoopedSimpleGraph
 from .setsystem import SetSystem
+
+
+def _field(data: dict[str, Any], name: str) -> Any:
+    try:
+        return data[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None
 
 
 def _json_list(value: Any, field: str) -> list:
@@ -49,8 +57,8 @@ def set_system_to_dict(system: SetSystem) -> dict[str, Any]:
 
 
 def set_system_from_dict(data: dict[str, Any]) -> SetSystem:
-    feasible = [_label_list(fs, "a feasible set") for fs in _json_list(data["feasible"], "feasible")]
-    return SetSystem.from_sets(_label_list(data["ground"], "ground"), feasible)
+    feasible = [_label_list(fs, "a feasible set") for fs in _json_list(_field(data, "feasible"), "feasible")]
+    return SetSystem.from_sets(_label_list(_field(data, "ground"), "ground"), feasible)
 
 
 def matrix_to_dict(matrix: SymmetricBinaryMatrix) -> dict[str, Any]:
@@ -62,22 +70,23 @@ def matrix_to_dict(matrix: SymmetricBinaryMatrix) -> dict[str, Any]:
 
 
 def matrix_from_dict(data: dict[str, Any]) -> SymmetricBinaryMatrix:
-    entries = [[int(c) for c in row] if isinstance(row, str) else _json_list(row, "a row")
-               for row in _json_list(data["rows"], "rows")]
-    return SymmetricBinaryMatrix.from_entries(_label_list(data["labels"], "labels"), entries)
+    # a string row's characters other than 0 and 1 stay strings, which from_entries refuses
+    entries = [[{"0": 0, "1": 1}.get(c, c) for c in row] if isinstance(row, str) else _json_list(row, "a row")
+               for row in _json_list(_field(data, "rows"), "rows")]
+    return SymmetricBinaryMatrix.from_entries(_label_list(_field(data, "labels"), "labels"), entries)
 
 
 def graph_to_dict(graph: LoopedSimpleGraph) -> dict[str, Any]:
     return {
         "vertices": list(graph.labels),
         "edges": [[u, v] for u, v in graph.edges()],
-        "loops": [lab for i, lab in enumerate(graph.labels) if graph.loops >> i & 1],
+        "loops": list(graph.subset_labels(graph.loops)),
     }
 
 
 def graph_from_dict(data: dict[str, Any]) -> LoopedSimpleGraph:
     return LoopedSimpleGraph.from_edges(
-        _label_list(data["vertices"], "vertices"),
+        _label_list(_field(data, "vertices"), "vertices"),
         [tuple(_label_list(e, "an edge")) for e in _json_list(data.get("edges", []), "edges")],
         _label_list(data.get("loops", []), "loops"),
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .setsystem import SetSystem, SubsetLike
+from .setsystem import LabeledBits, SetSystem, SubsetLike
 
 
 def _principal_minors(rows: Sequence[int], k: int) -> int:
@@ -57,25 +57,15 @@ def _principal_minors(rows: Sequence[int], k: int) -> int:
 
 
 @dataclass(frozen=True)
-class SymmetricBinaryMatrix:
+class SymmetricBinaryMatrix(LabeledBits):
     """Symmetric GF(2) matrix with labeled rows/columns."""
 
-    labels: tuple[str, ...]
     rows: tuple[int, ...]
 
+    _where = "matrix"
+
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("labels must be distinct")
-        if len(self.rows) != n:
-            raise ValueError("row count must match label count")
-        full = (1 << n) - 1
-        for i, r in enumerate(self.rows):
-            if r & ~full:
-                raise ValueError("row has bits outside the matrix")
-            for j in range(i):
-                if (r >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ValueError("matrix is not symmetric")
+        self._check_symmetric(self.rows)
 
     @classmethod
     def from_entries(cls, labels: Iterable[str], entries: Sequence[Sequence[int]]) -> SymmetricBinaryMatrix:
@@ -84,32 +74,11 @@ class SymmetricBinaryMatrix:
         for row in entries:
             if len(row) != len(labels):
                 raise ValueError("row length must match label count")
-            if any(v not in (0, 1) for v in row):
-                raise ValueError("entries must be 0 or 1")
+            for v in row:
+                if type(v) is not int or v not in (0, 1):  # True and 1.0 both equal 1
+                    raise ValueError(f"matrix entries must be the integers 0 or 1, not {v!r}")
             rows.append(sum(1 << j for j, v in enumerate(row) if v))
         return cls(labels, tuple(rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
-
-    def mask(self, subset: SubsetLike) -> int:
-        if isinstance(subset, int):
-            if subset & ~self.full_mask:
-                raise ValueError("mask has bits outside the matrix")
-            return subset
-        pos = {lab: i for i, lab in enumerate(self.labels)}
-        m = 0
-        for lab in subset:
-            try:
-                m |= 1 << pos[lab]
-            except KeyError:
-                raise ValueError(f"label {lab!r} not in matrix") from None
-        return m
 
     def feasible_masks(self) -> tuple[int, ...]:
         """Masks of all nonsingular principal submatrices (the empty one

@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 from .gf2 import SymmetricBinaryMatrix, is_binary, reconstruct_basic_matrix
-from .setsystem import SetSystem, popcount
+from .setsystem import LabeledBits, SetSystem, popcount
 
 CIRCLE_GUARD = 9
 VERTEX_MINOR_GUARD = 9
@@ -38,34 +38,24 @@ RIBBON_GUARD = 8
 
 
 @dataclass(frozen=True)
-class LoopedSimpleGraph:
+class LoopedSimpleGraph(LabeledBits):
     """Simple graph with optional one loop per vertex.
 
     adj[i] is the neighbour mask of vertex i (diagonal zero); loops is the
     mask of looped vertices.
     """
 
-    labels: tuple[str, ...]
     adj: tuple[int, ...]
     loops: int = 0
 
+    _noun = "vertex"
+    _where = "graph"
+
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("vertex labels must be distinct")
-        if len(self.adj) != n:
-            raise ValueError("adjacency row count must match vertex count")
-        full = (1 << n) - 1
-        if self.loops & ~full:
+        if self._check_symmetric(self.adj):
+            raise ValueError("adjacency diagonal must be zero")
+        if self.loops >> len(self.labels):
             raise ValueError("loop mask outside the vertex set")
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError("adjacency row outside the vertex set")
-            if row >> i & 1:
-                raise ValueError("adjacency diagonal must be zero")
-            for j in range(i):
-                if (row >> j & 1) != (self.adj[j] >> i & 1):
-                    raise ValueError("adjacency must be symmetric")
 
     @classmethod
     def from_edges(
@@ -75,27 +65,18 @@ class LoopedSimpleGraph:
         loops: Iterable[str] = (),
     ) -> LoopedSimpleGraph:
         labels = tuple(vertices)
-        pos = {lab: i for i, lab in enumerate(labels)}
+        empty = cls(labels, (0,) * len(labels))
         adj = [0] * len(labels)
         for u, v in edges:
             if u == v:
                 raise ValueError("use the loops argument for loops")
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
-        lmask = 0
-        for u in loops:
-            lmask |= 1 << pos[u]
-        return cls(labels, tuple(adj), lmask)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+            i, j = empty._position(u), empty._position(v)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls(labels, tuple(adj), empty.mask(loops))
 
     def vertex_index(self, v: str) -> int:
-        try:
-            return self.labels.index(v)
-        except ValueError:
-            raise ValueError(f"vertex {v!r} not in graph") from None
+        return self._position(v)
 
     def neighbor_mask(self, v: str) -> int:
         return self.adj[self.vertex_index(v)]
@@ -114,14 +95,14 @@ class LoopedSimpleGraph:
 
     def __str__(self) -> str:
         es = " ".join(f"{u}-{v}" for u, v in self.edges())
-        ls = ",".join(lab for i, lab in enumerate(self.labels) if self.loops >> i & 1)
+        ls = ",".join(self.subset_labels(self.loops))
         return f"G({','.join(self.labels)}; {es or '-'}{'; loops ' + ls if ls else ''})"
 
     # ------------------------------------------------------------------
     # transformations
 
     def loop_toggle(self, v: str) -> LoopedSimpleGraph:
-        return LoopedSimpleGraph(self.labels, self.adj, self.loops ^ (1 << self.vertex_index(v)))
+        return LoopedSimpleGraph(self.labels, self.adj, self.loops ^ self.element_bit(v))
 
     def local_complement(self, v: str) -> LoopedSimpleGraph:
         """Toggle adjacencies inside the open neighbourhood of v.
@@ -151,18 +132,8 @@ class LoopedSimpleGraph:
 
     def delete_vertex(self, v: str) -> LoopedSimpleGraph:
         i = self.vertex_index(v)
-        keep = [k for k in range(self.size) if k != i]
-        labels = tuple(self.labels[k] for k in keep)
-
-        def compress(m: int) -> int:
-            out = 0
-            for new_k, old_k in enumerate(keep):
-                if m >> old_k & 1:
-                    out |= 1 << new_k
-            return out
-
-        adj = tuple(compress(self.adj[k]) for k in keep)
-        return LoopedSimpleGraph(labels, adj, compress(self.loops))
+        labels, (loops, *adj) = self._gather(1 << i, (self.loops, *self.adj[:i], *self.adj[i + 1:]))
+        return LoopedSimpleGraph(labels, tuple(adj), loops)
 
     def adjacency_matrix(self) -> SymmetricBinaryMatrix:
         """Adjacency with loops on the diagonal."""

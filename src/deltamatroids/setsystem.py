@@ -89,15 +89,101 @@ def _walk_plan(n: int, sizes: frozenset[int] | None):
 
 
 @dataclass(frozen=True)
-class SetSystem:
-    """Ground set plus feasible family.
+class LabeledBits:
+    """Ordered, distinct labels; the label at position i is bit i.
 
-    labels: ordered, distinct element names; position i of a label is bit i.
-    feasible: strictly increasing tuple of subset masks.
+    The base of SetSystem, SymmetricBinaryMatrix and LoopedSimpleGraph: it
+    resolves labels to positions and bits, checks symmetric bitmask rows,
+    and gathers the bits that survive a removal.  Each subclass checks
+    that its labels are distinct when it is built, and names a label and
+    the whole in messages through _noun and _where.
     """
 
     labels: tuple[str, ...]
+
+    _noun = "label"
+    _where = "labels"
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << len(self.labels)) - 1
+
+    def _position(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"{self._noun} {label!r} not in {self._where}") from None
+
+    def element_bit(self, e: str) -> int:
+        return 1 << self._position(e)
+
+    def mask(self, subset: SubsetLike) -> int:
+        """Normalize a subset argument (mask or label iterable) to a mask."""
+        if isinstance(subset, int):
+            if subset & ~self.full_mask:
+                raise ValueError(f"mask has bits outside the {self._where}")
+            return subset
+        m = 0
+        for lab in subset:
+            m |= 1 << self._position(lab)
+        return m
+
+    def subset_labels(self, mask: int) -> tuple[str, ...]:
+        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+
+    def _check_symmetric(self, rows: Sequence[int]) -> int:
+        """Distinct labels, and rows are the bitmask rows of a symmetric
+        0/1 matrix on them; returns the mask of the diagonal ones."""
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise ValueError(f"{self._noun} labels must be distinct")
+        if len(rows) != n:
+            raise ValueError(f"row count must match {self._noun} count")
+        full = (1 << n) - 1
+        diagonal = 0
+        for i, r in enumerate(rows):
+            if r & ~full:
+                raise ValueError(f"row has bits outside the {self._where}")
+            for j in range(i):
+                if (r >> j & 1) != (rows[j] >> i & 1):
+                    raise ValueError(f"{self._where} is not symmetric")
+            diagonal |= r & 1 << i
+        return diagonal
+
+    def _gather(self, removed: int, masks: Iterable[int]) -> tuple[tuple[str, ...], list[int]]:
+        """The labels outside removed, and each mask with the bits of
+        removed cut out: the bits above a removed position shift down."""
+        labels = []
+        lows = []  # (1 << i) - 1 for each removed position i, high to low
+        for i, lab in enumerate(self.labels):
+            if removed >> i & 1:
+                lows.insert(0, (1 << i) - 1)
+            else:
+                labels.append(lab)
+        out = []
+        for m in masks:
+            for low in lows:
+                m = m & low | m >> 1 & ~low
+            out.append(m)
+        return tuple(labels), out
+
+
+@dataclass(frozen=True)
+class SetSystem(LabeledBits):
+    """Ground set plus feasible family.
+
+    labels: the element names; feasible: strictly increasing tuple of
+    subset masks.
+    """
+
     feasible: tuple[int, ...]
+
+    _noun = "element"
+    _where = "ground set"
 
     def __post_init__(self):
         n = len(self.labels)
@@ -119,53 +205,12 @@ class SetSystem:
 
     @classmethod
     def from_sets(cls, labels: Iterable[str], feasible: Iterable[Iterable[str]]) -> SetSystem:
-        labels = tuple(labels)
-        pos = {lab: i for i, lab in enumerate(labels)}
-        if len(pos) != len(labels):
-            raise ValueError("ground-set labels must be distinct")
-        masks = set()
-        for fs in feasible:
-            m = 0
-            for lab in fs:
-                m |= 1 << pos[lab]
-            masks.add(m)
-        return cls(labels, tuple(sorted(masks)))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
+        ground = cls(tuple(labels), ())
+        return cls(ground.labels, tuple(sorted({ground.mask(fs) for fs in feasible})))
 
     @property
     def is_proper(self) -> bool:
         return bool(self.feasible)
-
-    def mask(self, subset: SubsetLike) -> int:
-        """Normalize a subset argument (mask or label iterable) to a mask."""
-        if isinstance(subset, int):
-            if subset & ~self.full_mask:
-                raise ValueError("mask has bits outside the ground set")
-            return subset
-        m = 0
-        pos = {lab: i for i, lab in enumerate(self.labels)}
-        for lab in subset:
-            try:
-                m |= 1 << pos[lab]
-            except KeyError:
-                raise ValueError(f"element {lab!r} not in ground set") from None
-        return m
-
-    def element_bit(self, e: str) -> int:
-        try:
-            return 1 << self.labels.index(e)
-        except ValueError:
-            raise ValueError(f"element {e!r} not in ground set") from None
-
-    def subset_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
     def feasible_sets(self) -> list[tuple[str, ...]]:
         return [self.subset_labels(m) for m in self.feasible]
@@ -219,16 +264,8 @@ class SetSystem:
     # minor operations
 
     def _without(self, removed: int, masks: Iterable[int]) -> SetSystem:
-        keep = [i for i in range(self.size) if not removed >> i & 1]
-        labels = tuple(self.labels[i] for i in keep)
-        compressed = set()
-        for m in masks:
-            out = 0
-            for new_i, old_i in enumerate(keep):
-                if m >> old_i & 1:
-                    out |= 1 << new_i
-            compressed.add(out)
-        return SetSystem(labels, tuple(sorted(compressed)))
+        labels, kept = self._gather(removed, masks)
+        return SetSystem(labels, tuple(sorted(set(kept))))
 
     def delete(self, e: str) -> SetSystem:
         """Remove e, keeping feasible sets that avoid it.

@@ -6,11 +6,9 @@ import pytest
 from deltamatroids import catalog
 from deltamatroids.duality import is_vf_safe
 from deltamatroids.exchange import is_delta_matroid
-from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key
+from deltamatroids.setsystem import UnrealizableMinorError, canonical_key
 
-
-def sysf(labels, *sets):
-    return SetSystem.from_sets(tuple(labels), [tuple(s) for s in sets])
+from _helpers import sysf
 
 
 def test_exact_families():

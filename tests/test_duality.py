@@ -13,17 +13,8 @@ from deltamatroids.duality import (
 )
 from deltamatroids.setsystem import SetSystem, canonical_key
 
+from _helpers import all_proper, sysf
 from _reference import family_of, loop_complement_ref, to_sets, twist_ref
-
-
-def sysf(labels, *sets):
-    return SetSystem.from_sets(tuple(labels), [tuple(s) for s in sets])
-
-
-def all_proper(n, labels="abcd"):
-    labs = tuple(labels[:n])
-    for bits in range(1, 1 << (1 << n)):
-        yield SetSystem(labs, tuple(i for i in range(1 << n) if bits >> i & 1))
 
 
 def random_proper(rng, max_n):
@@ -87,7 +78,7 @@ def _closure_ref(system):
 
 def test_orbit_members_are_the_definitional_closure():
     rng = random.Random(12)
-    systems = [s for n in range(4) for s in all_proper(n)]
+    systems = [s for n in range(4) for s in all_proper(n, "abcd")]
     systems += [SetSystem(tuple("abcd"), tuple(i for i in range(16) if bits >> i & 1))
                 for bits in rng.sample(range(1, 1 << 16), 10)]
     for s in systems:
@@ -134,7 +125,7 @@ def test_has_catalog_3_minor_examples():
 
 def test_obstruction_equivalence_exhaustive_small():
     for n in range(1, 4):
-        for s in all_proper(n):
+        for s in all_proper(n, "abcd"):
             assert is_vf_safe(s) == is_vf_safe_via_obstruction(s)
 
 

@@ -12,17 +12,8 @@ from deltamatroids.exchange import (
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.setsystem import SetSystem
 
+from _helpers import all_proper, sysf
 from _reference import family_of, first_exchange_witness_ref, symmetric_exchange_ref
-
-
-def sysf(labels, *sets):
-    return SetSystem.from_sets(tuple(labels), [tuple(s) for s in sets])
-
-
-def all_proper(n, labels="abc"):
-    labs = tuple(labels[:n])
-    for bits in range(1, 1 << (1 << n)):
-        yield SetSystem(labs, tuple(i for i in range(1 << n) if bits >> i & 1))
 
 
 def random_delta_matroids(count, max_n, seed):

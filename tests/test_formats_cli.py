@@ -61,7 +61,20 @@ _BAD_MATRIX_PAYLOADS = (
     '{"labels": ["a","b"], "rows": ["1","0"]}',
     '{"labels": ["a"], "rows": [[1.7]]}',
     '{"labels": ["a"], "rows": [["1"]]}',
+    # entries are the integers 0 and 1 or the characters 0 and 1, nothing equal to them
+    '{"labels": ["a"], "rows": [[true]]}',
+    '{"labels": ["a"], "rows": [[1.0]]}',
+    '{"labels": ["a","b"], "rows": ["0\u0661","10"]}',
 )
+# refused with a message that names the unknown label, the bad entry or the missing field
+_NAMED_PAYLOADS = {
+    "unknown-element.json": ('{"ground": ["a"], "feasible": [["b"]]}', "'b'"),
+    "unknown-edge-end.json": ('{"vertices": ["a","b"], "edges": [["a","c"]]}', "'c'"),
+    "unknown-loop.json": ('{"vertices": ["a"], "loops": ["z"]}', "'z'"),
+    "true-entry.json": ('{"labels": ["a"], "rows": [[true]]}', "True"),
+    "missing-feasible.json": ('{"ground": ["a"]}', "'feasible'"),
+    "missing-labels.json": ('{"rows": ["1"]}', "'labels'"),
+}
 # not an edge list: JSON that is not an object, empty or dashed names
 _BAD_EDGE_TEXTS = ("[1,2]", '"ab"', "a-", "-b", "a-b-c", "a-b, c--d")
 
@@ -76,6 +89,9 @@ def test_malformed_payloads():
             formats.loads(text)
     for text in _BAD_MATRIX_PAYLOADS + _BAD_EDGE_TEXTS:
         with pytest.raises(ValueError):
+            formats.loads(text)
+    for text, name in _NAMED_PAYLOADS.values():
+        with pytest.raises(ValueError, match=name):
             formats.loads(text)
 
 
@@ -210,17 +226,21 @@ def test_one_parser_serves_many_calls(capsys):
     assert code == 2
 
 
-# (argv, lines read before the reader closes or None to read all, exit code, stdout read)
+# (argv, lines read before the reader closes or None to read all, exit code, stdout read,
+#  text stderr names or None)
 _NO_TRACEBACK_CASES = (
-    (["check", "{tmp}"], None, 2, ""),  # a directory
-    (["obstructions", "circle", "--write", "{tmp}/missing/x.json"], None, 2, ""),
-    (["check", "catalog:B1"], 0, 0, ""),  # closed before the buffered output is flushed
-    (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n"),  # far over a pipe buffer
+    (["check", "{tmp}"], None, 2, "", None),  # a directory
+    (["obstructions", "circle", "--write", "{tmp}/missing/x.json"], None, 2, "", None),
+    (["check", "catalog:B1"], 0, 0, "", None),  # closed before the buffered output is flushed
+    (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n", None),  # far over a pipe buffer
+    *((["check", "{tmp}/" + file], None, 2, "", name) for file, (_, name) in _NAMED_PAYLOADS.items()),
 )
 
 
 def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
-    for argv, lines, expected_code, expected_out in _NO_TRACEBACK_CASES:
+    for file, (text, _) in _NAMED_PAYLOADS.items():
+        (tmp_path / file).write_text(text)
+    for argv, lines, expected_code, expected_out, named in _NO_TRACEBACK_CASES:
         argv = [a.format(tmp=tmp_path) for a in argv]
         if lines is None:
             code, out, err = _run_cli(argv)
@@ -233,6 +253,7 @@ def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
         assert (code, out) == (expected_code, expected_out), (argv, err)
         assert "Traceback" not in err, (argv, err)
         assert err.startswith("error: ") == (code == 2), (argv, err)
+        assert named is None or named in err, (argv, err)
     assert not (tmp_path / "missing").exists()
 
 
@@ -263,7 +284,8 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["apply", "catalog:S3", "frob:e1"]) == 2
     assert main(["apply", "/no/such/file.json", "+a"]) == 2
     p = tmp_path / "bad.json"
-    for text in _WRONG_TYPE_PAYLOADS + _BAD_MATRIX_PAYLOADS + _BAD_EDGE_TEXTS:
+    named = tuple(text for text, _ in _NAMED_PAYLOADS.values())
+    for text in _WRONG_TYPE_PAYLOADS + _BAD_MATRIX_PAYLOADS + _BAD_EDGE_TEXTS + named:
         p.write_text(text)
         assert main(["check", str(p)]) == 2
     assert capsys.readouterr().out == ""

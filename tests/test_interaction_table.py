@@ -9,11 +9,7 @@ import itertools
 from deltamatroids.exchange import is_delta_matroid
 from deltamatroids.setsystem import Op, SetSystem, UnrealizableMinorError
 
-
-def all_proper(n, labels="abc"):
-    labs = tuple(labels[:n])
-    for bits in range(1, 1 << (1 << n)):
-        yield SetSystem(labs, tuple(i for i in range(1 << n) if bits >> i & 1))
+from _helpers import all_proper
 
 
 def test_interaction_table_exhaustive_n3():

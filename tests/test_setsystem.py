@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from deltamatroids import catalog
+from deltamatroids.gf2 import SymmetricBinaryMatrix
+from deltamatroids.graphs import LoopedSimpleGraph
 from deltamatroids.setsystem import (
     ElementClass,
     Op,
@@ -11,6 +13,7 @@ from deltamatroids.setsystem import (
     canonical_key,
 )
 
+from _helpers import all_proper, sysf
 from _reference import (
     family_of,
     loop_complement_ref,
@@ -20,18 +23,8 @@ from _reference import (
 )
 
 
-def sysf(labels, *sets):
-    return SetSystem.from_sets(tuple(labels), [tuple(s) for s in sets])
-
-
 S3 = sysf("abc", "", "abc")
 D3 = catalog.get("D3")
-
-
-def all_proper(n, labels="abc"):
-    labs = tuple(labels[:n])
-    for bits in range(1, 1 << (1 << n)):
-        yield SetSystem(labs, tuple(i for i in range(1 << n) if bits >> i & 1))
 
 
 # ----------------------------------------------------------------------
@@ -57,6 +50,35 @@ def test_mask_round_trip():
         s.mask(["z"])
     with pytest.raises(ValueError):
         s.mask(1 << 5)
+
+
+_PATH = (0b010, 0b101, 0b010)  # a-b-c: symmetric rows with a zero diagonal
+
+
+@pytest.mark.parametrize("make, lookup, builders", [
+    (lambda labels, rows: SetSystem(labels, ()), SetSystem.element_bit,
+     (lambda name: SetSystem.from_sets("abc", [["a", name]]),)),
+    (SymmetricBinaryMatrix, SymmetricBinaryMatrix.element_bit, ()),
+    (LoopedSimpleGraph, LoopedSimpleGraph.vertex_index,
+     (lambda name: LoopedSimpleGraph.from_edges("abc", [("a", name)]),
+      lambda name: LoopedSimpleGraph.from_edges("abc", loops=["a", name]))),
+], ids=["set system", "matrix", "graph"])
+def test_labeled_types_share_one_contract(make, lookup, builders):
+    """The three labeled types refuse bad labels, masks and rows alike, and
+    an unknown label's message names it."""
+    labeled = make(tuple("abc"), _PATH)
+    with pytest.raises(ValueError):
+        make(tuple("aba"), _PATH)
+    unknown = (lambda: labeled.mask(["a", "zz"]), lambda: lookup(labeled, "zz"),
+               *(lambda build=build: build("zz") for build in builders))
+    for call in unknown:
+        with pytest.raises(ValueError, match="'zz'"):
+            call()
+    with pytest.raises(ValueError):
+        labeled.mask(0b1000)
+    if not isinstance(labeled, SetSystem):
+        with pytest.raises(ValueError):
+            make(tuple("abc"), (0b010, 0b000, 0b010))  # a-b one way only
 
 
 # ----------------------------------------------------------------------
