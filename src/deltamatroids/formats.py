@@ -136,7 +136,10 @@ def loads(text: str):
     text = text.strip()
     if not text.startswith("{"):
         return graph_from_edge_text(text)
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if "ground" in data:
         return set_system_from_dict(data)
     if "rows" in data:

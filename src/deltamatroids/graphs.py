@@ -270,22 +270,50 @@ def connected_graph_keys(n: int) -> tuple[GraphKey, ...]:
     """Canonical keys of all connected loopless graphs on n vertices, in
     ascending order.
 
-    Every connected graph on n vertices extends a connected graph on n-1
-    vertices by one vertex with a nonempty neighbourhood (delete any
-    non-cut vertex to see this), so extension plus dedup is exhaustive.
+    Each connected graph on n-1 vertices is extended by one new vertex
+    with a nonempty neighbourhood nb, and an extension is canonicalized
+    only if no old vertex is both a non-cut vertex of it and of degree
+    above popcount(nb) (canonical deletion; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  No graph is lost:
+    in a connected graph X, let w be a non-cut vertex of largest degree
+    among the non-cut vertices.  X - w is connected, so its key is a
+    parent, and that parent extended by the image of N(w) is X with w as
+    the new vertex, which passes since degree and being a cut vertex are
+    isomorphism invariants.  Several accepted extensions can still be
+    the same graph, so the keys are deduplicated.
     """
     if n < 1:
         return ()
     if n == 1:
         return ((1, 0, 0),)
+    new = n - 1
     found: set[GraphKey] = set()
-    for parent_key in connected_graph_keys(n - 1):
+    for parent_key in connected_graph_keys(new):
         parent = graph_from_key(parent_key)
-        for nb in range(1, 1 << (n - 1)):
-            adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
+        degrees = [popcount(row) for row in parent.adj]
+        for nb in range(1, 1 << new):
+            adj = [parent.adj[i] | ((nb >> i & 1) << new) for i in range(new)]
             adj.append(nb)
-            found.add(_canon_key_raw(n, adj, 0))
+            d = popcount(nb)
+            if not any(degrees[u] + (nb >> u & 1) > d and _connected_without(adj, u) for u in range(new)):
+                found.add(_canon_key_raw(n, adj, 0))
     return tuple(sorted(found))
+
+
+def _connected_without(adj: Sequence[int], u: int) -> bool:
+    """Is the graph with vertex u deleted connected?  (u is not the last
+    vertex, which starts the search.)"""
+    rest = ((1 << len(adj)) - 1) ^ (1 << u)
+    seen = frontier = 1 << (len(adj) - 1)
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ class, and looped_class_keys, the class as the canonical keys of the
 looped graphs reached by loop toggles at any vertex and local
 complementations at looped vertices.  circle_obstructions_ref uses the
 library's enumeration and LC orbits but decides every graph on its own
-with the uncached chord-word search.
+with the uncached chord-word search.  connected_graph_keys_ref labels
+every one-vertex extension with the library's canonical search and has
+no canonical-deletion filter, so it checks the filtered enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ import functools
 import itertools
 
 from deltamatroids.duality import orbit
-from deltamatroids.graphs import circle_word, connected_graph_keys, graph_canonical_key, graph_from_key, lc_orbit_keys
+from deltamatroids.graphs import (
+    _canon_key_raw,
+    circle_word,
+    connected_graph_keys,
+    graph_canonical_key,
+    graph_from_key,
+    lc_orbit_keys,
+)
 from deltamatroids.setsystem import SetSystem, _apply_perm
 
 
@@ -235,3 +244,21 @@ def circle_obstructions_ref(max_n: int) -> list:
             if all(circle_word(g.delete_vertex(v)) is not None for g in members for v in g.labels):
                 found.add(min(cls))
     return sorted(found)
+
+
+@functools.cache
+def connected_graph_keys_ref(n: int) -> tuple:
+    """Canonical keys of the connected graphs on n vertices: every
+    nonempty neighbourhood of a new vertex over every connected graph on
+    n-1 vertices, each extension labeled and the keys deduplicated."""
+    if n < 1:
+        return ()
+    if n == 1:
+        return ((1, 0, 0),)
+    found = set()
+    for parent_key in connected_graph_keys_ref(n - 1):
+        parent = graph_from_key(parent_key)
+        for nb in range(1, 1 << (n - 1)):
+            adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
+            found.add(_canon_key_raw(n, adj + [nb], 0))
+    return tuple(sorted(found))

@@ -10,7 +10,7 @@ import deltamatroids
 from deltamatroids import catalog, formats, gf2, verify
 from deltamatroids.cli import build_parser, main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
-from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions
+from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions, graph_canonical_key, graph_from_key
 from deltamatroids.setsystem import SetSystem
 
 
@@ -74,6 +74,7 @@ _NAMED_PAYLOADS = {
     "true-entry.json": ('{"labels": ["a"], "rows": [[true]]}', "True"),
     "missing-feasible.json": ('{"ground": ["a"]}', "'feasible'"),
     "missing-labels.json": ('{"rows": ["1"]}', "'labels'"),
+    "deep.json": ('{"ground": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
 }
 # not an edge list: JSON that is not an object, empty or dashed names
 _BAD_EDGE_TEXTS = ("[1,2]", '"ab"', "a-", "-b", "a-b-c", "a-b, c--d")
@@ -105,6 +106,17 @@ def test_cache_checksum_guard(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         formats.load_obstruction_cache(path)
+
+
+def test_shipped_cache_is_what_the_writer_produces(tmp_path):
+    # with criterion 7 comparing its keys to a fresh derivation, this pins
+    # `obstructions circle --rederive --max-n 8 --write` to the shipped file
+    path = tmp_path / "cache.json"
+    formats.write_obstruction_cache(path, circle_obstructions(), 8)
+    shipped = Path(formats.__file__).parent / "_data" / "circle_obstructions.json"
+    assert path.read_bytes() == shipped.read_bytes()
+    for g in circle_obstructions():
+        assert g == graph_from_key(graph_canonical_key(g))
 
 
 # ----------------------------------------------------------------------

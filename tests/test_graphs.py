@@ -29,6 +29,7 @@ from _reference import (
     all_double_occurrence_words,
     circle_obstructions_ref,
     closure_tester,
+    connected_graph_keys_ref,
     interlacement_ref,
     looped_class_keys,
 )
@@ -193,8 +194,13 @@ def test_canonical_key_invariant_under_relabeling():
 
 
 def test_connected_graph_counts():
-    # known counts of connected loopless graphs up to isomorphism
-    assert [len(connected_graph_keys(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    # known counts of connected loopless graphs up to isomorphism (OEIS A001349)
+    assert [len(connected_graph_keys(n)) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def test_connected_graph_keys_match_unfiltered_enumeration():
+    for n in range(8):
+        assert connected_graph_keys(n) == connected_graph_keys_ref(n)
 
 
 def test_graph_from_key_round_trip():
