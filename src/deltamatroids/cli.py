@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 property failure, 2 usage error (including
 unknown names, guard violations and files that cannot be read or
 written).  A reader that closes stdout early is not an error.  Reports
 are deterministic on stdout; timing goes to stderr.
+
+main is the one error boundary: every ValueError (a UsageError, or a
+guard or precondition refused by the library) is one `error:` line on
+stderr and exit 2.  Stdout is empty then, as commands compute before they print
+(check only after loading its input, with its later lines guarded).
+Any other exception from a command is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from .setsystem import Op, SetSystem
 from . import verify as verify_mod
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A refusal by the CLI itself; main reports it as it reports a
+    ValueError from the library."""
 
 
 def _load_payload(ref: str):
@@ -79,10 +86,7 @@ def _parse_ops(tokens: list[str]) -> list[tuple[str, Op]]:
 
 def _cmd_apply(args) -> int:
     system = _load_system(args.input)
-    try:
-        result = system.apply_sequence(_parse_ops(args.ops))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = system.apply_sequence(_parse_ops(args.ops))
     print(formats.dumps(result))
     return 0
 
@@ -121,10 +125,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_orbit(args) -> int:
     system = _load_system(args.input)
-    try:
-        result = orbit(system, up_to_iso=not args.labeled)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = orbit(system, up_to_iso=not args.labeled)
     kind = "labeled" if args.labeled else "up to isomorphism"
     print(f"orbit size ({kind}): {result.size}")
     for member in result.members:
@@ -134,10 +135,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_classify(args) -> int:
     system = _load_system(args.input)
-    try:
-        print(system.classify_element(args.element).value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    print(system.classify_element(args.element).value)
     return 0
 
 
@@ -149,13 +147,7 @@ def _cmd_obstructions(args) -> int:
     max_n = 8 if args.max_n is None else args.max_n
     if max_n < 1:
         raise UsageError(f"--max-n must be at least 1, got {max_n}")
-    if args.rederive:
-        try:
-            graphs = tuple(find_circle_obstructions(max_n))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        graphs = circle_obstructions()
+    graphs = tuple(find_circle_obstructions(max_n)) if args.rederive else circle_obstructions()
     if args.write:  # before printing, so a failed write leaves stdout empty
         try:
             formats.write_obstruction_cache(Path(args.write), graphs, max_n)
@@ -177,10 +169,7 @@ def _cmd_verify(args) -> int:
     unused = [f"--{opt.replace('_', '-')}" for opt in given if opt not in takes]
     if unused:
         raise UsageError(f"suite {args.suite!r} does not take {', '.join(unused)}")
-    try:
-        result = suite(**given)
-    except ValueError as exc:  # a guard, or a suite that checks no instance
-        raise UsageError(str(exc)) from None
+    result = suite(**given)
     reports = result if isinstance(result, list) else [result]
     failed = False
     for report in reports:
@@ -242,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.fn(args)
         sys.stdout.flush()
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError, or a guard or precondition of the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,7 +8,8 @@ Graphs also parse from a one-line edge list such as "a-b, b-c, d, c-c"
 (lone name: isolated vertex; x-x: loop at x; names are non-empty and
 hold no dash).  Labels are JSON strings and list fields JSON lists;
 anything else raises TypeError.  A missing field, a label outside the
-labels or a matrix entry other than 0 or 1 raises ValueError naming it.
+labels, a matrix entry other than 0 or 1 or an edge that is not two
+names raises ValueError naming it.
 
 Serialization uses canonical storage order so identical values produce
 identical bytes.
@@ -84,10 +85,17 @@ def graph_to_dict(graph: LoopedSimpleGraph) -> dict[str, Any]:
     }
 
 
+def _edge(value: Any) -> tuple[str, str]:
+    ends = _label_list(value, "an edge")
+    if len(ends) != 2:
+        raise ValueError(f"an edge is a pair of vertex names, not {ends!r}")
+    return ends[0], ends[1]
+
+
 def graph_from_dict(data: dict[str, Any]) -> LoopedSimpleGraph:
     return LoopedSimpleGraph.from_edges(
         _label_list(_field(data, "vertices"), "vertices"),
-        [tuple(_label_list(e, "an edge")) for e in _json_list(data.get("edges", []), "edges")],
+        [_edge(e) for e in _json_list(data.get("edges", []), "edges")],
         _label_list(data.get("loops", []), "loops"),
     )
 

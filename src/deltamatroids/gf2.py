@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .setsystem import LabeledBits, SetSystem, SubsetLike
+from .setsystem import MAX_GROUND, LabeledBits, SetSystem, SubsetLike
 
 
 def _principal_minors(rows: Sequence[int], k: int) -> int:
@@ -88,7 +88,10 @@ class SymmetricBinaryMatrix(LabeledBits):
 
     def delta_matroid(self) -> SetSystem:
         """Feasible sets are the index sets of nonsingular principal
-        submatrices; always normal."""
+        submatrices; always normal.  A ground set over MAX_GROUND is
+        refused before the 2^n determinants."""
+        if self.size > MAX_GROUND:
+            raise ValueError(f"ground set larger than {MAX_GROUND} elements")
         return SetSystem(self.labels, self.feasible_masks())
 
     def ppt(self, subset: SubsetLike) -> SymmetricBinaryMatrix:

@@ -185,15 +185,11 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
-    return _canon_key(graph.size, graph.adj, graph.loops)
-
-
-def _canon_key(n: int, adj: Sequence[int], loops: int) -> GraphKey:
     """_canon_key_raw, memoized: LC orbits, deletions and ribbon minors revisit labeled graphs."""
-    cache_key = (n, tuple(adj), loops)
+    cache_key = (graph.size, graph.adj, graph.loops)
     hit = _graph_canon_cache.get(cache_key)
     if hit is None:
-        hit = _graph_canon_cache[cache_key] = _canon_key_raw(n, adj, loops)
+        hit = _graph_canon_cache[cache_key] = _canon_key_raw(*cache_key)
     return hit
 
 
@@ -575,9 +571,9 @@ def _simple_graph_key(system: SetSystem) -> GraphKey:
     """The key of the simple graph under the looped graph B with
     system * F = D(B) for its least feasible set F.  The system must be
     binary, so that its twist onto F is basic binary."""
-    t = system.twist(system.feasible[0])
-    rows = reconstruct_basic_matrix(t).rows
-    return _canon_key(t.size, [row & ~(1 << i) for i, row in enumerate(rows)], 0)
+    b = reconstruct_basic_matrix(system.twist(system.feasible[0]))
+    simple = tuple(row & ~(1 << i) for i, row in enumerate(b.rows))
+    return graph_canonical_key(LoopedSimpleGraph(b.labels, simple))
 
 
 def is_ribbon_graphic(system: SetSystem) -> bool:

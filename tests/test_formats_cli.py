@@ -75,6 +75,13 @@ _NAMED_PAYLOADS = {
     "missing-feasible.json": ('{"ground": ["a"]}', "'feasible'"),
     "missing-labels.json": ('{"rows": ["1"]}', "'labels'"),
     "deep.json": ('{"ground": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+    "triple-edge.json": ('{"vertices": ["a","b","c"], "edges": [["a","b","c"]]}', "'a', 'b', 'c'"),
+    "single-edge.json": ('{"vertices": ["a"], "edges": [["a"]]}', "pair of vertex names"),
+}
+# inputs whose guards the library checks: over ORBIT_GUARD, and over MAX_GROUND as a graph
+_GUARD_INPUTS = {
+    "nine.json": json.dumps({"ground": [f"x{i}" for i in range(9)], "feasible": [[]]}),
+    "isolated25.txt": " ".join(f"v{i}" for i in range(25)),
 }
 # not an edge list: JSON that is not an object, empty or dashed names
 _BAD_EDGE_TEXTS = ("[1,2]", '"ab"', "a-", "-b", "a-b-c", "a-b, c--d")
@@ -246,11 +253,20 @@ _NO_TRACEBACK_CASES = (
     (["check", "catalog:B1"], 0, 0, "", None),  # closed before the buffered output is flushed
     (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n", None),  # far over a pipe buffer
     *((["check", "{tmp}/" + file], None, 2, "", name) for file, (_, name) in _NAMED_PAYLOADS.items()),
+    # a refusal by the library, one per subcommand
+    (["apply", "catalog:S3", "del:zz"], None, 2, "", "'zz'"),
+    (["classify-element", "catalog:S3", "zz"], None, 2, "", "'zz'"),
+    (["orbit", "{tmp}/nine.json"], None, 2, "", "orbit guard"),
+    (["obstructions", "circle", "--rederive", "--max-n", "9"], None, 2, "", "obstruction search guard"),
+    (["verify", "main-theorem", "--max-n", "5"], None, 2, "", "exhaustive suite guard"),
+    (["check", "{tmp}/isolated25.txt"], None, 2, "", "error: ground set larger than 24 elements"),
 )
 
 
 def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
     for file, (text, _) in _NAMED_PAYLOADS.items():
+        (tmp_path / file).write_text(text)
+    for file, text in _GUARD_INPUTS.items():
         (tmp_path / file).write_text(text)
     for argv, lines, expected_code, expected_out, named in _NO_TRACEBACK_CASES:
         argv = [a.format(tmp=tmp_path) for a in argv]

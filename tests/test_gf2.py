@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deltamatroids import catalog
+from deltamatroids import catalog, gf2
 from deltamatroids.exchange import check_symmetric_exchange, is_delta_matroid, is_even, is_normal
 from deltamatroids.gf2 import (
     SymmetricBinaryMatrix,
@@ -142,6 +142,18 @@ def test_delta_matroid_of_matrix_examples():
     assert matrix("1", "1").delta_matroid() == SetSystem(("1",), (0, 1))
     assert matrix("12", "01", "10").delta_matroid() == SetSystem(("1", "2"), (0, 3))
     assert matrix("12", "11", "11").delta_matroid() == SetSystem(("1", "2"), (0, 1, 2))
+
+
+def test_delta_matroid_over_max_ground_is_refused_before_the_determinants(monkeypatch):
+    """25 labels would cost 2^25 principal determinants before the set
+    system refused them."""
+    def no_minors(rows, k):
+        raise AssertionError("principal minors computed")
+
+    monkeypatch.setattr(gf2, "_principal_minors", no_minors)
+    identity = SymmetricBinaryMatrix(tuple(f"x{i}" for i in range(25)), tuple(1 << i for i in range(25)))
+    with pytest.raises(ValueError, match="ground set larger than 24 elements"):
+        identity.delta_matroid()
 
 
 def test_matrix_delta_matroids_satisfy_exchange_and_are_normal():
