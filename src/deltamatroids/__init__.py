@@ -15,6 +15,7 @@ from .exchange import (
     is_normal,
 )
 from .duality import (
+    CatalogIndex,
     Orbit,
     dual_pivot,
     find_catalog_3_minor,
@@ -41,6 +42,7 @@ from .graphs import (
 from . import catalog, formats, verify
 
 __all__ = [
+    "CatalogIndex",
     "ChordDiagram",
     "ElementClass",
     "ExchangeWitness",

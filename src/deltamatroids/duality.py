@@ -128,8 +128,8 @@ class MinorMatch:
     catalog_index: int
 
 
-class _CatalogIndex:
-    """Catalog entries prepared for matching three-operation minors.
+class CatalogIndex:
+    """Catalog entries prepared once for matching three-operation minors.
 
     keys maps each canonical key to the first entry index carrying it.
     table(n, kept) is the set of indicators of every labeling of every
@@ -166,32 +166,16 @@ class _CatalogIndex:
         return table
 
 
-_catalog_key_cache: dict[tuple, _CatalogIndex] = {}
-
-
-def _catalog_index(entries: Sequence[SetSystem]) -> _CatalogIndex:
-    """The index of the entries, cached by content."""
-    cache_key = tuple((e.size, e.feasible) for e in entries)
-    index = _catalog_key_cache.get(cache_key)
-    if index is None:
-        index = _catalog_key_cache[cache_key] = _CatalogIndex(entries)
-    return index
-
-
-def find_catalog_3_minor(
-    system: SetSystem, entries: Sequence[SetSystem] | _CatalogIndex
-) -> MinorMatch | None:
-    """First three-operation minor isomorphic to a catalog entry, if any.
+def find_catalog_3_minor(system: SetSystem, index: CatalogIndex) -> MinorMatch | None:
+    """First three-operation minor isomorphic to an entry of the index, if any.
 
     Assignments of elements to keep / delete / contract / penrose are
     scanned in itertools.product(range(4), repeat=n) order (see
     SetSystem.iter_three_minors), so the witness is deterministic.
-    Minors whose ground size matches no entry are never formed.  The
-    entries may also come as an index the caller prepared once.
+    Minors whose ground size matches no entry are never formed.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
-    index = entries if isinstance(entries, _CatalogIndex) else _catalog_index(entries)
     n = system.size
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(index.sizes):
@@ -202,9 +186,9 @@ def find_catalog_3_minor(
 
 
 @lru_cache(maxsize=1)
-def _s3_dual_index() -> _CatalogIndex:
+def _s3_dual_index() -> CatalogIndex:
     """The index of the twisted duals of S3."""
-    return _CatalogIndex(catalog.s3_twisted_duals())
+    return CatalogIndex(catalog.s3_twisted_duals())
 
 
 def is_vf_safe_via_obstruction(system: SetSystem) -> bool:

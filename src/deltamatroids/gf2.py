@@ -83,8 +83,8 @@ class SymmetricBinaryMatrix(LabeledBits):
     def feasible_masks(self) -> tuple[int, ...]:
         """Masks of all nonsingular principal submatrices (the empty one
         included), in increasing order."""
-        dets = _principal_minors(self.rows, self.size)
-        return tuple(x for x in range(1 << self.size) if dets >> x & 1)
+        bits = bin(_principal_minors(self.rows, self.size))[:1:-1]  # character x is det A[x]
+        return tuple(x for x, b in enumerate(bits) if b == "1")
 
     def delta_matroid(self) -> SetSystem:
         """Feasible sets are the index sets of nonsingular principal

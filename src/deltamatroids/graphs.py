@@ -75,11 +75,8 @@ class LoopedSimpleGraph(LabeledBits):
             adj[j] |= 1 << i
         return cls(labels, tuple(adj), empty.mask(loops))
 
-    def vertex_index(self, v: str) -> int:
-        return self._position(v)
-
     def neighbor_mask(self, v: str) -> int:
-        return self.adj[self.vertex_index(v)]
+        return self.adj[self._position(v)]
 
     def edges(self) -> list[tuple[str, str]]:
         out = []
@@ -91,7 +88,7 @@ class LoopedSimpleGraph(LabeledBits):
         return out
 
     def has_edge(self, u: str, v: str) -> bool:
-        return bool(self.adj[self.vertex_index(u)] >> self.vertex_index(v) & 1)
+        return bool(self.adj[self._position(u)] >> self._position(v) & 1)
 
     def __str__(self) -> str:
         es = " ".join(f"{u}-{v}" for u, v in self.edges())
@@ -110,7 +107,7 @@ class LoopedSimpleGraph(LabeledBits):
         When v carries a loop, the loop status of every neighbour is
         toggled as well.  v's own edges and loop never change.
         """
-        i = self.vertex_index(v)
+        i = self._position(v)
         nb = self.adj[i]
         adj = list(self.adj)
         for u in range(self.size):
@@ -131,7 +128,7 @@ class LoopedSimpleGraph(LabeledBits):
         return self.local_complement(v).local_complement(w).local_complement(v)
 
     def delete_vertex(self, v: str) -> LoopedSimpleGraph:
-        i = self.vertex_index(v)
+        i = self._position(v)
         labels, (loops, *adj) = self._gather(1 << i, (self.loops, *self.adj[:i], *self.adj[i + 1:]))
         return LoopedSimpleGraph(labels, tuple(adj), loops)
 
@@ -242,7 +239,7 @@ def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
     init = [(loops >> v & 1, degrees[v]) for v in range(n)]
     remap = {s: i for i, s in enumerate(sorted(set(init)))}
     rec([remap[s] for s in init])
-    return (n, best[0], best[1]) if best is not None else (0, 0, 0)
+    return (n, best[0], best[1])  # every search reaches a leaf, n = 0 included
 
 
 def graph_from_key(key: GraphKey) -> LoopedSimpleGraph:
@@ -432,6 +429,14 @@ def _circle_word_search(n: int, adj: Sequence[int]) -> tuple[int, ...] | None:
     return None
 
 
+def _refuse_circle_input(graph: LoopedSimpleGraph) -> None:
+    """Circle recognition takes loopless graphs up to CIRCLE_GUARD vertices."""
+    if graph.loops:
+        raise ValueError("circle recognition requires a loopless graph")
+    if graph.size > CIRCLE_GUARD:
+        raise ValueError(f"circle recognition guard: over {CIRCLE_GUARD} vertices")
+
+
 _circle_cache: dict[GraphKey, bool] = {}
 
 
@@ -442,10 +447,7 @@ def is_circle_graph(graph: LoopedSimpleGraph) -> bool:
     position is pinned to vertex 0 since rotating a diagram changes
     nothing.
     """
-    if graph.loops:
-        raise ValueError("circle recognition requires a loopless graph")
-    if graph.size > CIRCLE_GUARD:
-        raise ValueError(f"circle recognition guard: over {CIRCLE_GUARD} vertices")
+    _refuse_circle_input(graph)
     key = graph_canonical_key(graph)
     hit = _circle_cache.get(key)
     if hit is None:
@@ -457,10 +459,7 @@ def is_circle_graph(graph: LoopedSimpleGraph) -> bool:
 
 def circle_word(graph: LoopedSimpleGraph) -> ChordDiagram | None:
     """A realizing chord diagram for the labeled graph, if one exists."""
-    if graph.loops:
-        raise ValueError("circle recognition requires a loopless graph")
-    if graph.size > CIRCLE_GUARD:
-        raise ValueError(f"circle recognition guard: over {CIRCLE_GUARD} vertices")
+    _refuse_circle_input(graph)
     word = _circle_word_search(graph.size, graph.adj)
     if word is None:
         return None

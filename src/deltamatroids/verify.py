@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Callable, Iterable, TypeVar
 
 from . import catalog
-from .duality import dual_pivot, find_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
+from .duality import CatalogIndex, dual_pivot, find_catalog_3_minor, is_vf_safe, is_vf_safe_via_obstruction, orbit
 from .exchange import is_delta_matroid
 from .gf2 import SymmetricBinaryMatrix, is_binary
 from .graphs import (
@@ -363,7 +363,7 @@ def verify_binary_corollary(max_n: int = 3) -> VerificationReport:
     _refuse_over(max_n, EXHAUSTIVE_GUARD, "exhaustive suite")
 
     def body(report: VerificationReport) -> None:
-        entries = orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals()
+        index = CatalogIndex(orbit(catalog.get("B1"), up_to_iso=True).members + catalog.s3_twisted_duals())
         dm_count = 0
 
         def check(system: SetSystem) -> list[Failure]:
@@ -373,7 +373,7 @@ def verify_binary_corollary(max_n: int = 3) -> VerificationReport:
             dm_count += 1
             failures = []
             binary = is_binary(system)
-            obstruction_free = find_catalog_3_minor(system, entries) is None
+            obstruction_free = find_catalog_3_minor(system, index) is None
             if binary != obstruction_free:
                 failures.append((str(system), f"binary={binary}", f"obstruction-free={obstruction_free}"))
             if binary and not is_vf_safe(system):

@@ -4,6 +4,7 @@ import pytest
 
 from deltamatroids import catalog
 from deltamatroids.duality import (
+    CatalogIndex,
     dual_pivot,
     find_catalog_3_minor,
     is_vf_safe,
@@ -112,7 +113,7 @@ def test_all_28_obstructions_fail_vf_safety():
 
 
 def test_has_catalog_3_minor_examples():
-    duals = catalog.s3_twisted_duals()
+    duals = CatalogIndex(catalog.s3_twisted_duals())
     s4 = catalog.get("S4")
     match = find_catalog_3_minor(s4, duals)
     assert match is not None
@@ -120,7 +121,7 @@ def test_has_catalog_3_minor_examples():
     assert match.penrose_mask == s4.mask(["e4"])
     assert find_catalog_3_minor(catalog.get("B1"), duals) is None
     b1 = catalog.get("B1")
-    assert find_catalog_3_minor(b1, [b1.canonical_form()]) is not None
+    assert find_catalog_3_minor(b1, CatalogIndex([b1.canonical_form()])) is not None
 
 
 def test_obstruction_equivalence_exhaustive_small():

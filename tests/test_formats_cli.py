@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import deltamatroids
-from deltamatroids import catalog, formats, gf2, verify
+from deltamatroids import catalog, cli, formats, gf2, verify
 from deltamatroids.cli import build_parser, main
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions, graph_canonical_key, graph_from_key
@@ -40,7 +40,7 @@ def test_edge_text_format():
     g = formats.loads("a-b, b-c, d, c-c")
     assert g.has_edge("a", "b") and g.has_edge("b", "c")
     assert g.labels == ("a", "b", "c", "d")
-    assert g.loops == 1 << g.vertex_index("c")
+    assert g.loops == g.element_bit("c")
 
 
 _WRONG_TYPE_PAYLOADS = (
@@ -78,11 +78,25 @@ _NAMED_PAYLOADS = {
     "triple-edge.json": ('{"vertices": ["a","b","c"], "edges": [["a","b","c"]]}', "'a', 'b', 'c'"),
     "single-edge.json": ('{"vertices": ["a"], "edges": [["a"]]}', "pair of vertex names"),
 }
-# inputs whose guards the library checks: over ORBIT_GUARD, and over MAX_GROUND as a graph
+# inputs over a guard: ORBIT_GUARD, MAX_GROUND as a graph, and the exchange and binary
+# guards of check (the looped graph sits exactly at the binary guard)
 _GUARD_INPUTS = {
     "nine.json": json.dumps({"ground": [f"x{i}" for i in range(9)], "feasible": [[]]}),
     "isolated25.txt": " ".join(f"v{i}" for i in range(25)),
+    "path20.txt": ", ".join(f"v{i}-v{i + 1}" for i in range(19)),  # 10 946 feasible sets
+    "looped16.txt": ", ".join(f"v{i}-v{i}" for i in range(16)),  # all 2^16 sets feasible
 }
+_CHECK_LINES = ("proper", "delta-matroid", "even", "normal", "basic-binary", "binary", "vf-safe", "ribbon-graphic")
+_OVER_EXCHANGE = "skipped (feasible sets over guard)"
+_OVER_GROUND = "skipped (ground set over guard)"
+
+
+def _check_out(n, *verdicts):
+    """The stdout of check on vertices v0 ... v(n-1), one verdict per line."""
+    lines = [f"ground: {' '.join(f'v{i}' for i in range(n))}", *map("{}: {}".format, _CHECK_LINES, verdicts)]
+    return "".join(line + "\n" for line in lines)
+
+
 # not an edge list: JSON that is not an object, empty or dashed names
 _BAD_EDGE_TEXTS = ("[1,2]", '"ab"', "a-", "-b", "a-b-c", "a-b, c--d")
 
@@ -218,10 +232,16 @@ def _cli_process(argv):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def _run_cli(argv):
-    """Exit code, stdout and stderr of `python -m deltamatroids argv`."""
+def _run_cli(argv, seconds=120):
+    """Exit code, stdout and stderr of `python -m deltamatroids argv`,
+    which fails if the run takes longer than seconds."""
     proc = _cli_process(argv)
-    out, err = proc.communicate(timeout=120)
+    try:
+        out, err = proc.communicate(timeout=seconds)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise AssertionError(f"{argv} ran over {seconds} s") from None
     return proc.returncode, out, err
 
 
@@ -246,20 +266,25 @@ def test_one_parser_serves_many_calls(capsys):
 
 
 # (argv, lines read before the reader closes or None to read all, exit code, stdout read,
-#  text stderr names or None)
+#  text stderr names or None, seconds the run may take)
 _NO_TRACEBACK_CASES = (
-    (["check", "{tmp}"], None, 2, "", None),  # a directory
-    (["obstructions", "circle", "--write", "{tmp}/missing/x.json"], None, 2, "", None),
-    (["check", "catalog:B1"], 0, 0, "", None),  # closed before the buffered output is flushed
-    (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n", None),  # far over a pipe buffer
-    *((["check", "{tmp}/" + file], None, 2, "", name) for file, (_, name) in _NAMED_PAYLOADS.items()),
+    (["check", "{tmp}"], None, 2, "", None, 120),  # a directory
+    (["obstructions", "circle", "--write", "{tmp}/missing/x.json"], None, 2, "", None, 120),
+    (["check", "catalog:B1"], 0, 0, "", None, 120),  # closed before the buffered output is flushed
+    (["orbit", "catalog:S5", "--labeled"], 1, 0, "orbit size (labeled): 3888\n", None, 120),  # far over a pipe buffer
+    *((["check", "{tmp}/" + file], None, 2, "", name, 120) for file, (_, name) in _NAMED_PAYLOADS.items()),
     # a refusal by the library, one per subcommand
-    (["apply", "catalog:S3", "del:zz"], None, 2, "", "'zz'"),
-    (["classify-element", "catalog:S3", "zz"], None, 2, "", "'zz'"),
-    (["orbit", "{tmp}/nine.json"], None, 2, "", "orbit guard"),
-    (["obstructions", "circle", "--rederive", "--max-n", "9"], None, 2, "", "obstruction search guard"),
-    (["verify", "main-theorem", "--max-n", "5"], None, 2, "", "exhaustive suite guard"),
-    (["check", "{tmp}/isolated25.txt"], None, 2, "", "error: ground set larger than 24 elements"),
+    (["apply", "catalog:S3", "del:zz"], None, 2, "", "'zz'", 120),
+    (["classify-element", "catalog:S3", "zz"], None, 2, "", "'zz'", 120),
+    (["orbit", "{tmp}/nine.json"], None, 2, "", "orbit guard", 120),
+    (["obstructions", "circle", "--rederive", "--max-n", "9"], None, 2, "", "obstruction search guard", 120),
+    (["verify", "main-theorem", "--max-n", "5"], None, 2, "", "exhaustive suite guard", 120),
+    (["check", "{tmp}/isolated25.txt"], None, 2, "", "error: ground set larger than 24 elements", 120),
+    # every line of check is bounded: over the exchange guard, at the binary guard
+    (["check", "{tmp}/path20.txt"], None, 0,
+     _check_out(20, "yes", _OVER_EXCHANGE, "yes", "yes", *[_OVER_GROUND] * 4), None, 5),
+    (["check", "{tmp}/looped16.txt"], None, 0,
+     _check_out(16, "yes", _OVER_EXCHANGE, "no", "yes", "yes", "yes", *[_OVER_GROUND] * 2), None, 5),
 )
 
 
@@ -268,16 +293,16 @@ def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
         (tmp_path / file).write_text(text)
     for file, text in _GUARD_INPUTS.items():
         (tmp_path / file).write_text(text)
-    for argv, lines, expected_code, expected_out, named in _NO_TRACEBACK_CASES:
+    for argv, lines, expected_code, expected_out, named, seconds in _NO_TRACEBACK_CASES:
         argv = [a.format(tmp=tmp_path) for a in argv]
         if lines is None:
-            code, out, err = _run_cli(argv)
+            code, out, err = _run_cli(argv, seconds)
         else:
             proc = _cli_process(argv)
             out = "".join(proc.stdout.readline() for _ in range(lines))
             proc.stdout.close()
             err = proc.stderr.read()
-            code = proc.wait(timeout=120)
+            code = proc.wait(timeout=seconds)
         assert (code, out) == (expected_code, expected_out), (argv, err)
         assert "Traceback" not in err, (argv, err)
         assert err.startswith("error: ") == (code == 2), (argv, err)
@@ -289,6 +314,19 @@ def test_check_witness_line(capsys):
     assert main(["check", "catalog:S3"]) == 0
     out = capsys.readouterr().out
     assert "delta-matroid: no (X={} Y={e1,e2,e3} u=e1)" in out
+
+
+def test_check_exchange_guard_counts_feasible_sets(monkeypatch, capsys):
+    """The exchange line runs up to the guard and is skipped just over it;
+    the other lines do not change."""
+    lines = {}
+    for guard in (5, 4):  # B1 has 5 feasible sets
+        monkeypatch.setattr(cli, "_CHECK_EXCHANGE_GUARD", guard)
+        assert main(["check", "catalog:B1"]) == 0
+        lines[guard] = capsys.readouterr().out.splitlines()
+    assert lines[5][2] == "delta-matroid: yes"
+    assert lines[4][2] == "delta-matroid: skipped (feasible sets over guard)"
+    assert lines[5][:2] + lines[5][3:] == lines[4][:2] + lines[4][3:]
 
 
 def test_classify_element(capsys):

@@ -138,6 +138,16 @@ def test_feasible_masks_match_elimination_random():
             assert m.feasible_masks() == _feasible_by_elimination(m)
 
 
+def test_feasible_masks_match_shift_extraction():
+    """The determinant bits read as a string are those read by one shift
+    per subset."""
+    rng = random.Random(21)
+    cases = [random_symmetric(rng, n) for n in range(13) for _ in range(4)]
+    for m in cases + [random_symmetric(rng, 16)]:
+        dets = gf2._principal_minors(m.rows, m.size)
+        assert m.feasible_masks() == tuple(x for x in range(1 << m.size) if dets >> x & 1), m
+
+
 def test_delta_matroid_of_matrix_examples():
     assert matrix("1", "1").delta_matroid() == SetSystem(("1",), (0, 1))
     assert matrix("12", "01", "10").delta_matroid() == SetSystem(("1", "2"), (0, 3))

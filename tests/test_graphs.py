@@ -131,7 +131,7 @@ def test_simple_lc_decomposes_through_looped_lc():
     for _ in range(40):
         g = random_loopless(rng, rng.randint(1, 6))
         v = rng.choice(g.labels)
-        i = g.vertex_index(v)
+        i = g.labels.index(v)
         staged = g.loop_toggle(v).local_complement(v)
         cleared = LoopedSimpleGraph(
             staged.labels, staged.adj, staged.loops & ~(g.adj[i] | (1 << i))
@@ -254,6 +254,21 @@ def test_cycle_and_wheel():
     assert not is_circle_graph(wheel(5))
     with pytest.raises(ValueError):
         is_circle_graph(graph("a", loops="a"))
+
+
+def test_circle_recognition_refuses_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a refused graph reached a search")
+
+    monkeypatch.setattr(graphs, "graph_canonical_key", no_search)
+    monkeypatch.setattr(graphs, "_circle_word_search", no_search)
+    n = graphs.CIRCLE_GUARD + 1
+    big = LoopedSimpleGraph(tuple(f"v{i}" for i in range(n)), (0,) * n)
+    for recognize in (is_circle_graph, circle_word):
+        with pytest.raises(ValueError, match="loopless"):
+            recognize(graph("ab", loops="b"))
+        with pytest.raises(ValueError, match="circle recognition guard"):
+            recognize(big)
 
 
 def test_circle_word_realizes_graph():

@@ -9,7 +9,7 @@ import itertools
 import random
 
 from deltamatroids import catalog
-from deltamatroids.duality import MinorMatch, find_catalog_3_minor, orbit
+from deltamatroids.duality import CatalogIndex, MinorMatch, find_catalog_3_minor, orbit
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import circle_obstructions, is_ribbon_graphic
 from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key
@@ -122,6 +122,7 @@ def test_find_and_ribbon_match_scan_on_every_small_system():
     """Against the S3 twisted duals and the B1 and S3 classes, which are
     all there is to ribbon-graphic recognition below six elements."""
     duals = catalog.s3_twisted_duals()
+    index = CatalogIndex(duals)
     keys = {}
     for i, e in enumerate(duals):
         keys.setdefault(canonical_key(e), i)
@@ -136,7 +137,7 @@ def test_find_and_ribbon_match_scan_on_every_small_system():
                 if k in keys:  # the S3 duals lie in the obstruction classes
                     match = MinorMatch(x, y, z, keys[k])
                     break
-            assert find_catalog_3_minor(s, duals) == match, s
+            assert find_catalog_3_minor(s, index) == match, s
             assert is_ribbon_graphic(s) == rg, s
             hits += match is not None
             ribbon += rg
@@ -146,10 +147,11 @@ def test_find_and_ribbon_match_scan_on_every_small_system():
 
 def test_find_catalog_3_minor_matches_scan_seeded():
     entries = binary_corollary_entries()
+    index = CatalogIndex(entries)
     found = 0
     for s in seeded_systems(5, (5, 6), 8):
         expected = scan_find(s, entries)
-        assert find_catalog_3_minor(s, entries) == expected, s
+        assert find_catalog_3_minor(s, index) == expected, s
         found += expected is not None
     assert 0 < found < 48
 

@@ -59,7 +59,7 @@ _PATH = (0b010, 0b101, 0b010)  # a-b-c: symmetric rows with a zero diagonal
     (lambda labels, rows: SetSystem(labels, ()), SetSystem.element_bit,
      (lambda name: SetSystem.from_sets("abc", [["a", name]]),)),
     (SymmetricBinaryMatrix, SymmetricBinaryMatrix.element_bit, ()),
-    (LoopedSimpleGraph, LoopedSimpleGraph.vertex_index,
+    (LoopedSimpleGraph, LoopedSimpleGraph.element_bit,
      (lambda name: LoopedSimpleGraph.from_edges("abc", [("a", name)]),
       lambda name: LoopedSimpleGraph.from_edges("abc", loops=["a", name]))),
 ], ids=["set system", "matrix", "graph"])
