@@ -91,7 +91,9 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-_CHECK_EXCHANGE_GUARD = 1024  # |F|^2 pairs of feasible sets
+# Over this many feasible sets the delta-matroid line reads `skipped`.  The
+# projection check is cheap there too; the guard keeps that stdout stable.
+_CHECK_EXCHANGE_GUARD = 1024
 _CHECK_BINARY_GUARD = 16      # 2^n principal determinants
 _CHECK_VF_GUARD = 12          # 4^n minor assignments
 

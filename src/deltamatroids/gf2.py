@@ -56,6 +56,11 @@ def _principal_minors(rows: Sequence[int], k: int) -> int:
     return low | high << bit
 
 
+# At 2^20 sets the family tuple peaks at about 63 MB; each further
+# element doubles it.
+MAX_FAMILY = 1 << 20
+
+
 @dataclass(frozen=True)
 class SymmetricBinaryMatrix(LabeledBits):
     """Symmetric GF(2) matrix with labeled rows/columns."""
@@ -82,14 +87,20 @@ class SymmetricBinaryMatrix(LabeledBits):
 
     def feasible_masks(self) -> tuple[int, ...]:
         """Masks of all nonsingular principal submatrices (the empty one
-        included), in increasing order."""
-        bits = bin(_principal_minors(self.rows, self.size))[:1:-1]  # character x is det A[x]
+        included), in increasing order.  More than MAX_FAMILY of them are
+        refused once counted, before the tuple is built."""
+        dets = _principal_minors(self.rows, self.size)
+        count = dets.bit_count()
+        if count > MAX_FAMILY:
+            raise ValueError(f"family guard: {count} feasible sets, over {MAX_FAMILY}")
+        bits = bin(dets)[:1:-1]  # character x is det A[x]
         return tuple(x for x, b in enumerate(bits) if b == "1")
 
     def delta_matroid(self) -> SetSystem:
         """Feasible sets are the index sets of nonsingular principal
         submatrices; always normal.  A ground set over MAX_GROUND is
-        refused before the 2^n determinants."""
+        refused before the 2^n determinants, a family over MAX_FAMILY
+        sets after them."""
         if self.size > MAX_GROUND:
             raise ValueError(f"ground set larger than {MAX_GROUND} elements")
         return SetSystem(self.labels, self.feasible_masks())

@@ -471,14 +471,20 @@ def circle_word(graph: LoopedSimpleGraph) -> ChordDiagram | None:
 
 
 def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
-    """Canonical keys of the local-complementation class of the graph."""
+    """Canonical keys of the local-complementation class of the graph.
+
+    A local complementation at v changes nothing when v is isolated, or
+    unlooped with one neighbour, so those children are not labeled."""
     seen = {graph_canonical_key(graph)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for key in frontier:
             g = graph_from_key(key)
-            for v in g.labels:
+            for i, v in enumerate(g.labels):
+                nb = g.adj[i]
+                if not nb or (not nb & (nb - 1) and not g.loops >> i & 1):
+                    continue
                 child_key = graph_canonical_key(g.local_complement(v))
                 if child_key not in seen:
                     seen.add(child_key)

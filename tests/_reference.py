@@ -16,9 +16,11 @@ class, and looped_class_keys, the class as the canonical keys of the
 looped graphs reached by loop toggles at any vertex and local
 complementations at looped vertices.  circle_obstructions_ref uses the
 library's enumeration and LC orbits but decides every graph on its own
-with the uncached chord-word search.  connected_graph_keys_ref labels
-every one-vertex extension with the library's canonical search and has
-no canonical-deletion filter, so it checks the filtered enumeration.
+with the uncached chord-word search.  lc_orbit_keys_ref complements at
+every vertex, so it checks the no-op skip of lc_orbit_keys.
+connected_graph_keys_ref labels every one-vertex extension with the
+library's canonical search and has no canonical-deletion filter, so it
+checks the filtered enumeration.
 """
 
 from __future__ import annotations
@@ -227,6 +229,24 @@ def looped_class_keys(seeds) -> set:
                     nxt.append(child_key)
         frontier = nxt
     return seen
+
+
+def lc_orbit_keys_ref(graph) -> frozenset:
+    """Canonical keys of the local-complementation class: a breadth-first
+    search that complements at every vertex of every member."""
+    seen = {graph_canonical_key(graph)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for key in frontier:
+            g = graph_from_key(key)
+            for v in g.labels:
+                child_key = graph_canonical_key(g.local_complement(v))
+                if child_key not in seen:
+                    seen.add(child_key)
+                    nxt.append(child_key)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def circle_obstructions_ref(max_n: int) -> list:

@@ -78,11 +78,14 @@ _NAMED_PAYLOADS = {
     "triple-edge.json": ('{"vertices": ["a","b","c"], "edges": [["a","b","c"]]}', "'a', 'b', 'c'"),
     "single-edge.json": ('{"vertices": ["a"], "edges": [["a"]]}', "pair of vertex names"),
 }
-# inputs over a guard: ORBIT_GUARD, MAX_GROUND as a graph, and the exchange and binary
-# guards of check (the looped graph sits exactly at the binary guard)
+# inputs at or over a guard: ORBIT_GUARD, MAX_GROUND as a graph, gf2.MAX_FAMILY, and the
+# exchange and binary guards of check (path15 sits just under the exchange guard, looped16
+# exactly at the binary guard)
 _GUARD_INPUTS = {
     "nine.json": json.dumps({"ground": [f"x{i}" for i in range(9)], "feasible": [[]]}),
     "isolated25.txt": " ".join(f"v{i}" for i in range(25)),
+    "looped22.txt": ", ".join(f"v{i}-v{i}" for i in range(22)),  # 2^22 sets, over the family guard
+    "path15.txt": ", ".join(f"v{i}-v{i + 1}" for i in range(14)),  # 987 feasible sets
     "path20.txt": ", ".join(f"v{i}-v{i + 1}" for i in range(19)),  # 10 946 feasible sets
     "looped16.txt": ", ".join(f"v{i}-v{i}" for i in range(16)),  # all 2^16 sets feasible
 }
@@ -280,7 +283,10 @@ _NO_TRACEBACK_CASES = (
     (["obstructions", "circle", "--rederive", "--max-n", "9"], None, 2, "", "obstruction search guard", 120),
     (["verify", "main-theorem", "--max-n", "5"], None, 2, "", "exhaustive suite guard", 120),
     (["check", "{tmp}/isolated25.txt"], None, 2, "", "error: ground set larger than 24 elements", 120),
-    # every line of check is bounded: over the exchange guard, at the binary guard
+    (["check", "{tmp}/looped22.txt"], None, 2, "", "error: family guard", 5),
+    # every line of check is bounded: under and over the exchange guard, at the binary guard
+    (["check", "{tmp}/path15.txt"], None, 0,
+     _check_out(15, "yes", "yes", "yes", "yes", "yes", "yes", *[_OVER_GROUND] * 2), None, 5),
     (["check", "{tmp}/path20.txt"], None, 0,
      _check_out(20, "yes", _OVER_EXCHANGE, "yes", "yes", *[_OVER_GROUND] * 4), None, 5),
     (["check", "{tmp}/looped16.txt"], None, 0,

@@ -31,6 +31,7 @@ from _reference import (
     closure_tester,
     connected_graph_keys_ref,
     interlacement_ref,
+    lc_orbit_keys_ref,
     looped_class_keys,
 )
 
@@ -345,6 +346,25 @@ def test_circle_is_constant_on_each_lc_class():
             key, verdict = circle.popitem()
             for member in lc_orbit_keys(graph_from_key(key)) - {key}:
                 assert circle.pop(member) == verdict
+
+
+def test_lc_orbit_keys_match_unskipped_search():
+    """Skipping the local complementations that change nothing loses no
+    class member: every labeled graph on at most 4 vertices under every
+    loop pattern, and every connected loopless graph on at most 6."""
+    inputs = []
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if edges >> k & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            inputs += [LoopedSimpleGraph(tuple("abcd"[:n]), tuple(adj), loops) for loops in range(1 << n)]
+    inputs += [graph_from_key(key) for n in range(1, 7) for key in connected_graph_keys(n)]
+    for g in inputs:
+        assert lc_orbit_keys(g) == lc_orbit_keys_ref(g), g
 
 
 # ----------------------------------------------------------------------
