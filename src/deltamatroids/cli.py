@@ -91,8 +91,9 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-# Over this many feasible sets the delta-matroid line reads `skipped`.  The
-# projection check is cheap there too; the guard keeps that stdout stable.
+# Over this many feasible sets the delta-matroid line reads `skipped`: the
+# projection check costs about |F| D for D distinct move masks, and D grows
+# with |F| (0.3 s at 7 302 sets, 19 s and 0.8 GB at 109 556).
 _CHECK_EXCHANGE_GUARD = 1024
 _CHECK_BINARY_GUARD = 16      # 2^n principal determinants
 _CHECK_VF_GUARD = 12          # 4^n minor assignments

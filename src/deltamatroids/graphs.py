@@ -182,7 +182,10 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
-    """_canon_key_raw, memoized: LC orbits, deletions and ribbon minors revisit labeled graphs."""
+    """_canon_key_raw, memoized for lc_orbit_keys and the one-vertex
+    deletions that find_circle_obstructions decides, which revisit labeled
+    graphs (679 of 6 271 and 67 of 134 lookups hit in
+    verify_circle_obstructions(7))."""
     cache_key = (graph.size, graph.adj, graph.loops)
     hit = _graph_canon_cache.get(cache_key)
     if hit is None:
@@ -354,79 +357,60 @@ def _circle_word_search(n: int, adj: Sequence[int]) -> tuple[int, ...] | None:
     """Backtracking construction of a double-occurrence word realizing the
     labeled interlacement graph, as a tuple of vertex indices, or None.
 
-    A chord's full crossing row is determined the moment it closes: it
-    crosses exactly the still-open chords opened after it, plus the
-    already-recorded closers.  Each close move therefore checks its row
-    against adj exactly, and a chord may only open while no finished chord
-    expects to cross it.
+    Chord 0 opens first, since rotating a diagram changes nothing.  Each
+    step closes an open chord, trying them from the top of the open stack
+    down, or else opens a new chord, in index order.  When x opens it
+    records before[x], the chords opened before it, and closed_then[x],
+    the chords closed by then.  x crosses exactly the chords that open or
+    close, once each, between its two ends: when it closes, those are
+    the chords still open above it (above) and the chords opened before
+    it that closed meanwhile, so x may close only when
+    adj[x] == above | (closed ^ closed_then[x]) & before[x].  A chord
+    may open only while no closed chord is its neighbour, as a closed
+    chord gains no crossings.  v opens only after every twin u < v with
+    adj[u] - {v} == adj[v] - {u}: swapping the labels of two twins is an
+    automorphism of the graph, so it maps any realizing word to one in
+    which the lower twin opens first.
     """
     if n == 0:
         return ()  # the empty word realizes the empty graph
-    acc = [0] * n  # crossings recorded by earlier closers
+    twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[v] |= 1 << u
+    before = [0] * n
+    closed_then = [0] * n
     open_stack = [0]
-    opened = 1
-    closed = 0
-    word: list[int] = [0]
+    word = [0]
 
-    def rec() -> bool:
-        nonlocal opened, closed
+    def rec(opened: int, closed: int) -> bool:
         if len(word) == 2 * n:
             return True
         above = 0
         for si in range(len(open_stack) - 1, -1, -1):
             x = open_stack[si]
-            if adj[x] & ~acc[x] == above:
-                open_stack.pop(si)
-                closed_bit = 1 << x
-                closed_new = closed | closed_bit
-                undo = []
-                m = above
-                while m:
-                    low = m & -m
-                    u = low.bit_length() - 1
-                    acc[u] |= closed_bit
-                    undo.append(u)
-                    m ^= low
-                closed_old = closed
-                closed = closed_new
+            if adj[x] == above | (closed ^ closed_then[x]) & before[x]:
+                del open_stack[si]
                 word.append(x)
-                if rec():
+                if rec(opened, closed | 1 << x):
                     return True
                 word.pop()
-                closed = closed_old
-                for u in undo:
-                    acc[u] ^= closed_bit
                 open_stack.insert(si, x)
             above |= 1 << x
         for v in range(n):
-            bit = 1 << v
-            if opened & bit:
+            if opened >> v & 1 or adj[v] & closed or twins[v] & ~opened:
                 continue
-            if adj[v] & closed:  # a finished chord cannot gain crossings
-                continue
-            skip = False
-            for u in range(v):
-                if not opened & (1 << u):
-                    rowu = adj[u] & ~bit
-                    rowv = adj[v] & ~(1 << u)
-                    if rowu == rowv:  # interchangeable twins, keep the lower
-                        skip = True
-                        break
-            if skip:
-                continue
-            opened |= bit
+            before[v], closed_then[v] = opened, closed
             open_stack.append(v)
             word.append(v)
-            if rec():
+            if rec(opened | 1 << v, closed):
                 return True
             word.pop()
             open_stack.pop()
-            opened ^= bit
         return False
 
-    if rec():
-        return tuple(word)
-    return None
+    return tuple(word) if rec(1, 0) else None
 
 
 def _refuse_circle_input(graph: LoopedSimpleGraph) -> None:
@@ -443,9 +427,8 @@ _circle_cache: dict[GraphKey, bool] = {}
 def is_circle_graph(graph: LoopedSimpleGraph) -> bool:
     """Is the graph the interlacement graph of some chord diagram?
 
-    Exhaustive backtracking over double-occurrence words; the first word
-    position is pinned to vertex 0 since rotating a diagram changes
-    nothing.
+    One exhaustive _circle_word_search per canonical key, on the key's
+    own labeling.
     """
     _refuse_circle_input(graph)
     key = graph_canonical_key(graph)

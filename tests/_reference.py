@@ -4,13 +4,17 @@ These are the slow, definitional oracles that the library's fast paths
 are checked against; the library ships none of them.  loop_complement_ref
 checks the folded loop complementation, det_elimination_ref (itself
 checked by det_permanent_ref) the principal determinants behind
-feasible_masks, ppt_ref the tableau pivot, and first_exchange_witness_ref
-the witness order of check_symmetric_exchange.
+feasible_masks, ppt_ref the tableau pivot, first_exchange_witness_ref
+the witness order of check_symmetric_exchange, and circle_word_search_ref
+(the chord-word backtracker as it was, with a per-chord crossing log
+undone on backtrack) the words that graphs._circle_word_search returns.
 
 Everything here works on frozensets of label strings or on plain 0/1
 lists (not bitmasks) and takes the shortest definitional route, so it
-shares no code with the library under test.  The two exceptions check
-the circle-obstruction classes in graphs, held there as LC orbits of
+shares no code with the library under test.  circle_word_search_ref
+works on adjacency bitmasks, because the words it pins are the library's
+search order, not a definition.  Two more exceptions check the
+circle-obstruction classes in graphs, held there as LC orbits of
 simple graphs: ClosureTester, the labeled closure of a twisted-duality
 class, and looped_class_keys, the class as the canonical keys of the
 looped graphs reached by loop toggles at any vertex and local
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Sequence
 
 from deltamatroids.duality import orbit
 from deltamatroids.graphs import (
@@ -180,6 +185,105 @@ def all_double_occurrence_words(n: int):
         return
     rest = symbols[1:]
     yield from rec(rest, [0])
+
+
+def chord_diagram_words(n: int):
+    """One double-occurrence word per chord diagram on n chords: the
+    (2n - 1)!! words on symbols 0..n-1 whose symbols first appear in
+    increasing order."""
+    def rec(word, symbol):
+        if symbol == n:
+            yield tuple(word)
+            return
+        first = word.index(None)
+        word[first] = symbol
+        for second in range(first + 1, 2 * n):
+            if word[second] is None:
+                word[second] = symbol
+                yield from rec(word, symbol + 1)
+                word[second] = None
+        word[first] = None
+
+    yield from rec([None] * (2 * n), 0)
+
+
+def circle_word_search_ref(n: int, adj: Sequence[int]) -> tuple[int, ...] | None:
+    """Backtracking construction of a double-occurrence word realizing the
+    labeled interlacement graph, as a tuple of vertex indices, or None.
+
+    A chord's full crossing row is determined the moment it closes: it
+    crosses exactly the still-open chords opened after it, plus the
+    already-recorded closers.  Each close move therefore checks its row
+    against adj exactly, and a chord may only open while no finished chord
+    expects to cross it.
+    """
+    if n == 0:
+        return ()  # the empty word realizes the empty graph
+    acc = [0] * n  # crossings recorded by earlier closers
+    open_stack = [0]
+    opened = 1
+    closed = 0
+    word: list[int] = [0]
+
+    def rec() -> bool:
+        nonlocal opened, closed
+        if len(word) == 2 * n:
+            return True
+        above = 0
+        for si in range(len(open_stack) - 1, -1, -1):
+            x = open_stack[si]
+            if adj[x] & ~acc[x] == above:
+                open_stack.pop(si)
+                closed_bit = 1 << x
+                closed_new = closed | closed_bit
+                undo = []
+                m = above
+                while m:
+                    low = m & -m
+                    u = low.bit_length() - 1
+                    acc[u] |= closed_bit
+                    undo.append(u)
+                    m ^= low
+                closed_old = closed
+                closed = closed_new
+                word.append(x)
+                if rec():
+                    return True
+                word.pop()
+                closed = closed_old
+                for u in undo:
+                    acc[u] ^= closed_bit
+                open_stack.insert(si, x)
+            above |= 1 << x
+        for v in range(n):
+            bit = 1 << v
+            if opened & bit:
+                continue
+            if adj[v] & closed:  # a finished chord cannot gain crossings
+                continue
+            skip = False
+            for u in range(v):
+                if not opened & (1 << u):
+                    rowu = adj[u] & ~bit
+                    rowv = adj[v] & ~(1 << u)
+                    if rowu == rowv:  # interchangeable twins, keep the lower
+                        skip = True
+                        break
+            if skip:
+                continue
+            opened |= bit
+            open_stack.append(v)
+            word.append(v)
+            if rec():
+                return True
+            word.pop()
+            open_stack.pop()
+            opened ^= bit
+        return False
+
+    if rec():
+        return tuple(word)
+    return None
 
 
 class ClosureTester:

@@ -27,7 +27,9 @@ from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
 from _reference import (
     all_double_occurrence_words,
+    chord_diagram_words,
     circle_obstructions_ref,
+    circle_word_search_ref,
     closure_tester,
     connected_graph_keys_ref,
     interlacement_ref,
@@ -59,6 +61,18 @@ def random_loopless(rng, n):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return LoopedSimpleGraph(tuple("abcdefg"[:n]), tuple(adj), 0)
+
+
+def every_loopless(n):
+    """Every labeled loopless graph on the vertices 0..n-1."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield LoopedSimpleGraph(tuple(str(i) for i in range(n)), tuple(adj), 0)
 
 
 # ----------------------------------------------------------------------
@@ -281,28 +295,73 @@ def test_circle_word_realizes_graph():
         if w is None:
             continue
         found += 1
-        # the realized diagram must reproduce the labeled graph exactly
-        realized = w.interlacement_graph()
-        mapping = {lab: i for i, lab in enumerate(realized.labels)}
-        for u, v in itertools.combinations(g.labels, 2):
-            assert g.has_edge(u, v) == realized.has_edge(u, v)
+        assert_realizes(w, g)
+
+
+def assert_realizes(diagram, g):
+    """The diagram reproduces the labeled graph exactly: the same edges on
+    the same labels."""
+    realized = diagram.interlacement_graph()
+    assert sorted(realized.labels) == sorted(g.labels)
+    assert {frozenset(e) for e in realized.edges()} == {frozenset(e) for e in g.edges()}
+
+
+def realizable_keys(words, n):
+    """Canonical keys of the interlacement graphs of the words on n chords."""
+    keys = set()
+    for word in words:
+        adj = [0] * n
+        for a, b in map(tuple, interlacement_ref(word)):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        keys.add(graph_canonical_key(LoopedSimpleGraph(tuple(str(i) for i in range(n)), tuple(adj), 0)))
+    return keys
+
+
+def check_against_words(g, realizable):
+    w = circle_word(g)
+    assert (w is not None) == (graph_canonical_key(g) in realizable) == is_circle_graph(g)
+    if w is not None:
+        assert_realizes(w, g)
+    return w is not None
 
 
 def test_circle_oracle_matches_word_enumeration():
-    # brute-force all double-occurrence words for every connected graph on
-    # up to five vertices
-    for n in range(1, 6):
-        realizable = set()
-        for word in all_double_occurrence_words(n):
-            crossings = interlacement_ref(tuple(str(s) for s in word))
-            adj = [0] * n
-            for pair in crossings:
-                a, b = sorted(int(x) for x in pair)
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            realizable.add(graph_canonical_key(LoopedSimpleGraph(tuple(str(i) for i in range(n)), tuple(adj), 0)))
+    # every labeled graph on up to five vertices, disconnected ones
+    # included, against every double-occurrence word; all of them are
+    # circle, as the least obstruction has six vertices
+    for n in range(6):
+        realizable = realizable_keys(all_double_occurrence_words(n), n)
+        assert all(check_against_words(g, realizable) for g in every_loopless(n))
+
+
+def test_circle_oracle_matches_six_chord_diagrams():
+    # about 1 in 250 labeled 6-vertex graphs is not circle, so seeded
+    # vertex orders of the wheel W5's LC class ride along
+    realizable = realizable_keys(chord_diagram_words(6), 6)
+    rng = random.Random(23)
+    cases = [random_loopless(rng, 6) for _ in range(300)]
+    for key in lc_orbit_keys(wheel(5)):
+        base = graph_from_key(key)
+        for _ in range(30):
+            perm = rng.sample(range(6), 6)
+            adj = [0] * 6
+            for i, j in itertools.permutations(range(6), 2):
+                adj[perm[i]] |= (base.adj[i] >> j & 1) << perm[j]
+            cases.append(LoopedSimpleGraph(tuple("abcdef"), tuple(adj), 0))
+    verdicts = collections.Counter(check_against_words(g, realizable) for g in cases)
+    assert verdicts[False] >= 60 and verdicts[True] > 250
+
+
+def test_circle_word_search_matches_reference():
+    # circle_word returns these words as witnesses, so the search order is pinned
+    cases = [g for n in range(6) for g in every_loopless(n)]
+    for n in range(1, 8):
         for key in connected_graph_keys(n):
-            assert is_circle_graph(graph_from_key(key)) == (key in realizable)
+            g = graph_from_key(key)
+            cases += [g, *(g.delete_vertex(v) for v in g.labels)]
+    for g in cases:
+        assert graphs._circle_word_search(g.size, g.adj) == circle_word_search_ref(g.size, g.adj)
 
 
 # ----------------------------------------------------------------------
@@ -352,16 +411,10 @@ def test_lc_orbit_keys_match_unskipped_search():
     """Skipping the local complementations that change nothing loses no
     class member: every labeled graph on at most 4 vertices under every
     loop pattern, and every connected loopless graph on at most 6."""
-    inputs = []
-    for n in range(5):
-        pairs = list(itertools.combinations(range(n), 2))
-        for edges in range(1 << len(pairs)):
-            adj = [0] * n
-            for k, (i, j) in enumerate(pairs):
-                if edges >> k & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            inputs += [LoopedSimpleGraph(tuple("abcd"[:n]), tuple(adj), loops) for loops in range(1 << n)]
+    inputs = [
+        LoopedSimpleGraph(g.labels, g.adj, loops)
+        for n in range(5) for g in every_loopless(n) for loops in range(1 << n)
+    ]
     inputs += [graph_from_key(key) for n in range(1, 7) for key in connected_graph_keys(n)]
     for g in inputs:
         assert lc_orbit_keys(g) == lc_orbit_keys_ref(g), g
