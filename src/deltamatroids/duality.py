@@ -59,6 +59,11 @@ class Orbit:
         return len(self.members)
 
 
+def _refuse_over_guard(system: SetSystem) -> None:
+    if system.size > ORBIT_GUARD:
+        raise ValueError(f"orbit guard: ground sets over {ORBIT_GUARD} elements")
+
+
 def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
     """Every labeled twisted dual, keyed by its feasible tuple.
 
@@ -66,29 +71,38 @@ def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
     at one element they generate the six words of twisted_duals_wrt, so
     the closure is one pass of those six words per element.
     """
-    if system.size > ORBIT_GUARD:
-        raise ValueError(f"orbit guard: ground sets over {ORBIT_GUARD} elements")
+    _refuse_over_guard(system)
     states = {system.feasible: system}
     for i in range(system.size):
         states = {d.feasible: d for s in states.values() for d in twisted_duals_wrt(s, 1 << i)}
     return states
 
 
+def _class_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
+    """The canonical forms of the labeled closure, by feasible tuple.  An
+    isomorphism carries an operation at e to the same one at the image
+    of e, so the single-element operations on one canonical form per
+    class reach exactly the classes of the labeled closure."""
+    _refuse_over_guard(system)
+    todo = [system.canonical_form()]
+    reps = {todo[0].feasible: todo[0]}
+    while todo:
+        s = todo.pop()
+        for i in range(s.size):
+            for t in (s.twist(1 << i), s.loop_complement(1 << i)):
+                c = t.canonical_form()
+                if c.feasible not in reps:
+                    reps[c.feasible] = c
+                    todo.append(c)
+    return reps
+
+
 def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
     """Twisted-duality closure of a proper set system."""
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
-    states = _labeled_closure(system)
-    if up_to_iso:
-        reps: dict[tuple, SetSystem] = {}
-        for s in states.values():
-            key = canonical_key(s)
-            if key not in reps:
-                reps[key] = s.canonical_form()
-        members = tuple(sorted(reps.values(), key=lambda s: s.feasible))
-    else:
-        members = tuple(states[feas] for feas in sorted(states))
-    return Orbit(members)
+    states = _class_closure(system) if up_to_iso else _labeled_closure(system)
+    return Orbit(tuple(states[feas] for feas in sorted(states)))
 
 
 # vf-safety is constant on a twisted-duality class, so one closure

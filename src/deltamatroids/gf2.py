@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .setsystem import MAX_GROUND, LabeledBits, SetSystem, SubsetLike
 
@@ -143,28 +143,30 @@ class SymmetricBinaryMatrix(LabeledBits):
         return f"[{','.join(self.labels)}: {body}]"
 
 
+def basic_rows(feasible: Callable[[int], object], positions: Sequence[int], least: int = 0) -> tuple[int, ...]:
+    """Rows over the given positions of the matrix B with S * least =
+    D(B), for the system S whose feasible sets F are those with
+    feasible(F) true (Bouchet, "Representability of Delta-matroids",
+    1988).  B_ii is whether least ^ {i} is feasible, and B_ij whatever
+    makes det B[{i, j}] = B_ii B_jj + B_ij say whether least ^ {i, j} is.
+    """
+    near = [least ^ 1 << p for p in positions]
+    diag = [bool(feasible(f)) for f in near]
+    rows = [d << k for k, d in enumerate(diag)]
+    for k, f in enumerate(near):
+        for j in range(k):
+            if bool(feasible(f ^ 1 << positions[j])) != (diag[k] and diag[j]):
+                rows[k] |= 1 << j
+                rows[j] |= 1 << k
+    return tuple(rows)
+
+
 def reconstruct_basic_matrix(system: SetSystem) -> SymmetricBinaryMatrix:
     """Rebuild the representing matrix of a normal system from its
-    feasible sets of size at most two.
-
-    Diagonal entries follow the singletons; an off-diagonal pair entry is
-    whatever makes the 2x2 principal determinant match the pair's
-    feasibility.
-    """
+    feasible sets of size at most two (basic_rows at least = 0)."""
     if not system.is_proper or system.feasible[0] != 0:
         raise ValueError("reconstruction requires a normal system")
-    n = system.size
-    feas = set(system.feasible)
-    diag = [1 if (1 << i) in feas else 0 for i in range(n)]
-    rows = [diag[i] << i for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            pair_feasible = ((1 << i) | (1 << j)) in feas
-            off = int(pair_feasible) ^ (diag[i] & diag[j])
-            if off:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SymmetricBinaryMatrix(system.labels, tuple(rows))
+    return SymmetricBinaryMatrix(system.labels, basic_rows(set(system.feasible).__contains__, range(system.size)))
 
 
 @lru_cache(maxsize=1)

@@ -18,7 +18,8 @@ twisted at its least feasible set is D(B) for a looped graph B reached
 from G by loop toggles and local complementations at looped vertices.
 Loop toggles make the loops free, and a local complementation at a
 looped vertex acts on the simple graph as a plain one, so the class is
-every loop pattern over the local-complementation orbit of G.
+every loop pattern over the local-complementation orbit of G.  Each
+minor's B is read off the walk's leaf indicator by gf2.basic_rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
-from .gf2 import SymmetricBinaryMatrix, is_binary, reconstruct_basic_matrix
+from .gf2 import SymmetricBinaryMatrix, basic_rows, is_binary
 from .setsystem import LabeledBits, SetSystem, popcount
 
 CIRCLE_GUARD = 9
@@ -182,10 +183,11 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
-    """_canon_key_raw, memoized for lc_orbit_keys and the one-vertex
-    deletions that find_circle_obstructions decides, which revisit labeled
-    graphs (679 of 6 271 and 67 of 134 lookups hit in
-    verify_circle_obstructions(7))."""
+    """_canon_key_raw, memoized for lc_orbit_keys, the one-vertex
+    deletions that find_circle_obstructions decides and the ribbon
+    minors' leaf graphs, which revisit labeled graphs (679 of 6 271 and
+    67 of 134 lookups hit in verify_circle_obstructions(7), 83 % of the
+    leaf lookups on every tenth connected 8-vertex graph)."""
     cache_key = (graph.size, graph.adj, graph.loops)
     hit = _graph_canon_cache.get(cache_key)
     if hit is None:
@@ -555,24 +557,16 @@ def _circle_class(size: int) -> frozenset[GraphKey]:
     return frozenset().union(*(lc_orbit_keys(g) for g in circle_obstructions() if g.size == size))
 
 
-def _simple_graph_key(system: SetSystem) -> GraphKey:
-    """The key of the simple graph under the looped graph B with
-    system * F = D(B) for its least feasible set F.  The system must be
-    binary, so that its twist onto F is basic binary."""
-    b = reconstruct_basic_matrix(system.twist(system.feasible[0]))
-    simple = tuple(row & ~(1 << i) for i, row in enumerate(b.rows))
-    return graph_canonical_key(LoopedSimpleGraph(b.labels, simple))
-
-
 def is_ribbon_graphic(system: SetSystem) -> bool:
     """Binary, and no three-operation minor in a circle-obstruction class.
 
     Binary settles the B1 and S3 obstructions (see the module docstring).
     Only minors as large as a circle obstruction are then formed, so a
     ground set smaller than all of them is never walked.  Every minor of
-    a binary system is binary, so its twist at its least feasible set is
-    basic binary, and the minor is in a class iff the simple graph of
-    that twist's looped graph is in the obstruction's LC orbit.
+    a binary system is binary, so twisted at its least feasible set F,
+    the lowest set bit of the walk's leaf, it is D(B) for the looped
+    graph B that basic_rows reads off the leaf.  The minor is in a class
+    iff the simple graph under B is in the obstruction's LC orbit.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
@@ -582,9 +576,12 @@ def is_ribbon_graphic(system: SetSystem) -> bool:
     if not is_binary(system):
         return False
     sizes = frozenset(g.size for g in circle_obstructions() if g.size <= n)
-    for x, y, z, _ in system.iter_three_minors(sizes):
-        keys = _circle_class(n - (x | y | z).bit_count())
-        if _simple_graph_key(system.three_minor(x, y, z)) in keys:
+    for x, y, z, leaf in system.iter_three_minors(sizes):
+        kept = system.full_mask & ~(x | y | z)
+        positions = [i for i in range(n) if kept >> i & 1]
+        rows = basic_rows(lambda f: leaf >> f & 1, positions, (leaf & -leaf).bit_length() - 1)
+        simple = tuple(row & ~(1 << k) for k, row in enumerate(rows))
+        if graph_canonical_key(LoopedSimpleGraph(system.subset_labels(kept), simple)) in _circle_class(len(rows)):
             return False
     return True
 

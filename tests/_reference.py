@@ -24,7 +24,12 @@ with the uncached chord-word search.  lc_orbit_keys_ref complements at
 every vertex, so it checks the no-op skip of lc_orbit_keys.
 connected_graph_keys_ref labels every one-vertex extension with the
 library's canonical search and has no canonical-deletion filter, so it
-checks the filtered enumeration.
+checks the filtered enumeration.  simple_graph_key_ref and
+is_ribbon_graphic_ref are the ribbon-graphic path that builds every
+minor with three_minor, twists it onto its least feasible set and
+reconstructs its matrix, against which the graph read off each leaf is
+checked.  orbit_up_to_iso_ref canonicalizes every labeled member of the
+closure, against which the class-by-class walk is checked.
 """
 
 from __future__ import annotations
@@ -34,8 +39,12 @@ import itertools
 from typing import Sequence
 
 from deltamatroids.duality import orbit
+from deltamatroids.gf2 import is_binary, reconstruct_basic_matrix
 from deltamatroids.graphs import (
+    LoopedSimpleGraph,
     _canon_key_raw,
+    _circle_class,
+    circle_obstructions,
     circle_word,
     connected_graph_keys,
     graph_canonical_key,
@@ -386,3 +395,31 @@ def connected_graph_keys_ref(n: int) -> tuple:
             adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
             found.add(_canon_key_raw(n, adj + [nb], 0))
     return tuple(sorted(found))
+
+
+def simple_graph_key_ref(system: SetSystem):
+    """The key of the simple graph under the looped graph B with
+    system * F = D(B) for its least feasible set F.  The system must be
+    binary, so that its twist onto F is basic binary."""
+    b = reconstruct_basic_matrix(system.twist(system.feasible[0]))
+    simple = tuple(row & ~(1 << i) for i, row in enumerate(b.rows))
+    return graph_canonical_key(LoopedSimpleGraph(b.labels, simple))
+
+
+def is_ribbon_graphic_ref(system: SetSystem) -> bool:
+    """Binary, and no minor as large as a circle obstruction, built by
+    three_minor, whose simple_graph_key_ref is in that obstruction's class."""
+    if not is_binary(system):
+        return False
+    sizes = frozenset(g.size for g in circle_obstructions())
+    for x, y, z, _ in system.iter_three_minors(sizes):
+        minor = system.three_minor(x, y, z)
+        if simple_graph_key_ref(minor) in _circle_class(minor.size):
+            return False
+    return True
+
+
+def orbit_up_to_iso_ref(system: SetSystem) -> tuple:
+    """The canonical forms of the labeled closure's members, sorted."""
+    forms = {m.canonical_form() for m in orbit(system).members}
+    return tuple(sorted(forms, key=lambda m: m.feasible))

@@ -15,7 +15,7 @@ from deltamatroids.duality import (
 from deltamatroids.setsystem import SetSystem, canonical_key
 
 from _helpers import all_proper, sysf
-from _reference import family_of, loop_complement_ref, to_sets, twist_ref
+from _reference import family_of, loop_complement_ref, orbit_up_to_iso_ref, to_sets, twist_ref
 
 
 def random_proper(rng, max_n):
@@ -44,9 +44,27 @@ def test_orbit_examples():
     assert small.size == 3
 
 
-def test_orbit_guard():
-    with pytest.raises(ValueError):
-        orbit(SetSystem(tuple(f"x{i}" for i in range(9)), (0,)))
+def test_orbit_guard(monkeypatch):
+    """Both modes refuse a ground set over ORBIT_GUARD before any twist
+    or canonical form."""
+    def no_work(*args):
+        raise AssertionError("work before the guard")
+
+    monkeypatch.setattr(SetSystem, "twist", no_work)
+    monkeypatch.setattr(SetSystem, "canonical_form", no_work)
+    for up_to_iso in (False, True):
+        with pytest.raises(ValueError, match="orbit guard: ground sets over 8 elements"):
+            orbit(SetSystem(tuple(f"x{i}" for i in range(9)), (0,)), up_to_iso)
+
+
+def test_orbit_up_to_iso_is_the_canonical_labeled_closure():
+    """The class-by-class walk gives the canonical forms of the labeled
+    members, on every proper system with at most 3 elements and every
+    catalog entry with at most 5."""
+    systems = [s for n in range(4) for s in all_proper(n, "abc")]
+    systems += [catalog.get(name) for name in catalog.names() if catalog.get(name).size <= 5]
+    for s in systems:
+        assert orbit(s, up_to_iso=True).members == orbit_up_to_iso_ref(s), str(s)
 
 
 def test_orbit_membership_symmetric():

@@ -446,6 +446,8 @@ def test_orbit_guard_exit_code(tmp_path, capsys):
     p = tmp_path / "big.json"
     p.write_text(json.dumps({"ground": labels, "feasible": [[]]}))
     assert main(["orbit", str(p)]) == 2
+    assert main(["orbit", str(p), "--labeled"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_obstructions_command(capsys):

@@ -22,7 +22,7 @@ from deltamatroids.graphs import (
     is_vertex_minor,
     lc_orbit_keys,
 )
-from deltamatroids.gf2 import SymmetricBinaryMatrix, is_basic_binary, is_binary, reconstruct_basic_matrix
+from deltamatroids.gf2 import SymmetricBinaryMatrix, basic_rows, is_basic_binary, is_binary, reconstruct_basic_matrix
 from deltamatroids.setsystem import SetSystem, _apply_perm, canonical_key
 
 from _reference import (
@@ -33,8 +33,10 @@ from _reference import (
     closure_tester,
     connected_graph_keys_ref,
     interlacement_ref,
+    is_ribbon_graphic_ref,
     lc_orbit_keys_ref,
     looped_class_keys,
+    simple_graph_key_ref,
 )
 
 
@@ -528,28 +530,67 @@ def test_ribbon_recognition_at_its_guard():
     assert is_ribbon_graphic(c8.delta_matroid())
 
 
+def leaf_graph_key(system, x, y, z, leaf):
+    """The key of the simple graph read off a walk leaf, as
+    is_ribbon_graphic reads it."""
+    positions = [i for i in range(system.size) if not (x | y | z) >> i & 1]
+    rows = basic_rows(lambda f: leaf >> f & 1, positions, (leaf & -leaf).bit_length() - 1)
+    simple = tuple(row & ~(1 << k) for k, row in enumerate(rows))
+    return graph_canonical_key(LoopedSimpleGraph(tuple(map(str, positions)), simple))
+
+
+def random_binary(rng, n):
+    """A random binary delta-matroid on n elements, twisted and
+    loop-complemented at random sets."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.getrandbits(1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    d = SymmetricBinaryMatrix(tuple("abcdefgh"[:n]), tuple(rows)).delta_matroid()
+    return d.twist(rng.randrange(1 << n)).loop_complement(rng.randrange(1 << n))
+
+
 def test_binary_minors_twist_to_basic_binary():
-    """_simple_graph_key needs no basic-binary guard: every minor that
-    is_ribbon_graphic walks in a binary system is binary, so its twist
-    onto its least feasible set is basic binary."""
+    """Reading a leaf's graph needs no basic-binary guard: every minor
+    that is_ribbon_graphic walks in a binary system is binary, so its
+    twist onto its least feasible set is basic binary.  The graph read
+    off the leaf is the one reconstructed from that twist."""
     rng = random.Random(31)
     leaves = 0
     for n in (6, 7, 8):
         for _ in range(5):
-            rows = [0] * n
-            for i in range(n):
-                for j in range(i + 1):
-                    if rng.getrandbits(1):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            d = SymmetricBinaryMatrix(tuple("abcdefgh"[:n]), tuple(rows)).delta_matroid()
-            system = d.twist(rng.randrange(1 << n)).loop_complement(rng.randrange(1 << n))
+            system = random_binary(rng, n)
             assert is_binary(system)
-            for x, y, z, _ in system.iter_three_minors(frozenset({6, 7, 8})):
+            for x, y, z, leaf in system.iter_three_minors(frozenset({6, 7, 8})):
                 m = system.three_minor(x, y, z)
                 assert is_basic_binary(m.twist(m.feasible[0])), (system, x, y, z)
+                assert leaf_graph_key(system, x, y, z, leaf) == simple_graph_key_ref(m), (system, x, y, z)
                 leaves += 1
     assert leaves > 1000
+
+
+def test_is_ribbon_graphic_matches_three_minor_scan_at_7_and_8():
+    """Seeded binary systems, and twisted duals of members of the 7- and
+    8-vertex obstruction classes (an 8-vertex one from the 7-vertex
+    obstruction with a pendant vertex), against the scan that builds
+    every minor."""
+    rng = random.Random(24)
+    systems = [random_binary(rng, n) for n in (7, 8) for _ in range(6)]
+    g7 = next(g for g in circle_obstructions() if g.size == 7)
+    g8 = next(g for g in circle_obstructions() if g.size == 8)
+    pendant = LoopedSimpleGraph(g7.labels + ("p",), tuple(row | (k == 2) << 7 for k, row in enumerate(g7.adj))
+                                + (1 << 2,))
+    for g in (g7, g8, pendant):
+        for key in sorted(lc_orbit_keys(g))[:3]:
+            member = graph_from_key(key)
+            full = (1 << member.size) - 1
+            d = LoopedSimpleGraph(member.labels, member.adj, rng.randrange(full + 1)).delta_matroid()
+            systems.append(d.twist(rng.randrange(full + 1)).loop_complement(rng.randrange(full + 1)))
+    verdicts = [is_ribbon_graphic(s) for s in systems]
+    assert verdicts == [is_ribbon_graphic_ref(s) for s in systems]
+    assert True in verdicts[:12] and not any(verdicts[12:])
 
 
 def test_dg_even_normal_and_vf_safe():
