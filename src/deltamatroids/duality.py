@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -12,12 +11,18 @@ from .exchange import is_delta_matroid_cached
 from .setsystem import (
     SetSystem,
     SubsetLike,
-    _apply_perm,
     canonical_key,
     indicator,
+    labelings,
 )
 
 ORBIT_GUARD = 8  # closure size is bounded by 6^n labeled systems
+# Up to isomorphism each class also costs one canonical form and one
+# sweep of n! labelings. At 8 elements even the smallest orbit, {∅} with
+# 45 classes, costs 8! labelings per class. S7 (396 classes) takes about
+# a minute, and S8, at 8 times the labelings per class, would take tens
+# of minutes.
+ISO_ORBIT_GUARD = 7
 
 
 def twisted_duals_wrt(system: SetSystem, subset: SubsetLike) -> list[SetSystem]:
@@ -31,11 +36,7 @@ def twisted_duals_wrt(system: SetSystem, subset: SubsetLike) -> list[SetSystem]:
     pa = system.loop_complement(a)
     sap = sa.loop_complement(a)
     words = [system, sa, pa, pa.twist(a), sap, sap.twist(a)]
-    out: list[SetSystem] = []
-    for w in words:
-        if w not in out:
-            out.append(w)
-    return out
+    return list({w.feasible: w for w in words}.values())
 
 
 def dual_pivot(system: SetSystem, subset: SubsetLike) -> SetSystem:
@@ -65,7 +66,8 @@ def _refuse_over_guard(system: SetSystem) -> None:
 
 
 def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
-    """Every labeled twisted dual, keyed by its feasible tuple.
+    """Every labeled twisted dual, keyed by its feasible tuple: the one
+    closure behind orbit in both modes and is_vf_safe.
 
     Twists and loop complementations at different elements commute, and
     at one element they generate the six words of twisted_duals_wrt, so
@@ -78,30 +80,26 @@ def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
     return states
 
 
-def _class_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
-    """The canonical forms of the labeled closure, by feasible tuple.  An
-    isomorphism carries an operation at e to the same one at the image
-    of e, so the single-element operations on one canonical form per
-    class reach exactly the classes of the labeled closure."""
-    _refuse_over_guard(system)
-    todo = [system.canonical_form()]
-    reps = {todo[0].feasible: todo[0]}
-    while todo:
-        s = todo.pop()
-        for i in range(s.size):
-            for t in (s.twist(1 << i), s.loop_complement(1 << i)):
-                c = t.canonical_form()
-                if c.feasible not in reps:
-                    reps[c.feasible] = c
-                    todo.append(c)
-    return reps
-
-
 def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
-    """Twisted-duality closure of a proper set system."""
+    """Twisted-duality closure of a proper set system.  Up to isomorphism,
+    the canonical form of any member left in the labeled closure names a
+    class, and every labeling of that class leaves the closure."""
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
-    states = _class_closure(system) if up_to_iso else _labeled_closure(system)
+    _refuse_over_guard(system)
+    if up_to_iso and system.size > ISO_ORBIT_GUARD:
+        raise ValueError(
+            f"orbit guard: ground sets over {ISO_ORBIT_GUARD} elements up to isomorphism"
+        )
+    states = _labeled_closure(system)
+    if up_to_iso:
+        classes = {}
+        while states:
+            c = next(iter(states.values())).canonical_form()
+            classes[c.feasible] = c
+            for feas in labelings(c.feasible, c.size):
+                states.pop(feas, None)
+        states = classes
     return Orbit(tuple(states[feas] for feas in sorted(states)))
 
 
@@ -157,9 +155,7 @@ class CatalogIndex:
         self.labelings: dict[int, set[tuple[int, ...]]] = {}
         for i, e in enumerate(entries):
             self.keys.setdefault(canonical_key(e), i)
-            self.labelings.setdefault(e.size, set()).update(
-                _apply_perm(e.feasible, p) for p in itertools.permutations(range(e.size))
-            )
+            self.labelings.setdefault(e.size, set()).update(labelings(e.feasible, e.size))
         self.sizes = frozenset(self.labelings)
         self._tables: dict[tuple[int, int], frozenset[int]] = {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .setsystem import SetSystem, popcount
+from .setsystem import SetSystem
 
 
 @dataclass(frozen=True)
@@ -101,5 +101,5 @@ def is_even(system: SetSystem) -> bool:
     """All feasible sets have sizes of the same parity."""
     if not system.is_proper:
         raise ValueError("requires a proper system")
-    parity = popcount(system.feasible[0]) & 1
-    return all(popcount(m) & 1 == parity for m in system.feasible)
+    parity = system.feasible[0].bit_count() & 1
+    return all(m.bit_count() & 1 == parity for m in system.feasible)

@@ -30,7 +30,7 @@ from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 from .gf2 import SymmetricBinaryMatrix, basic_rows, is_binary
-from .setsystem import LabeledBits, SetSystem, popcount
+from .setsystem import LabeledBits, SetSystem
 
 CIRCLE_GUARD = 9
 VERTEX_MINOR_GUARD = 9
@@ -240,7 +240,7 @@ def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
         for v in target:
             rec([colors[u] * 2 + (0 if u == v else 1) for u in range(n)])
 
-    degrees = [popcount(m) for m in adj]
+    degrees = [m.bit_count() for m in adj]
     init = [(loops >> v & 1, degrees[v]) for v in range(n)]
     remap = {s: i for i, s in enumerate(sorted(set(init)))}
     rec([remap[s] for s in init])
@@ -271,7 +271,7 @@ def connected_graph_keys(n: int) -> tuple[GraphKey, ...]:
     Each connected graph on n-1 vertices is extended by one new vertex
     with a nonempty neighbourhood nb, and an extension is canonicalized
     only if no old vertex is both a non-cut vertex of it and of degree
-    above popcount(nb) (canonical deletion; McKay, "Isomorph-free
+    above |nb| (canonical deletion; McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998).  No graph is lost:
     in a connected graph X, let w be a non-cut vertex of largest degree
     among the non-cut vertices.  X - w is connected, so its key is a
@@ -288,11 +288,11 @@ def connected_graph_keys(n: int) -> tuple[GraphKey, ...]:
     found: set[GraphKey] = set()
     for parent_key in connected_graph_keys(new):
         parent = graph_from_key(parent_key)
-        degrees = [popcount(row) for row in parent.adj]
+        degrees = [row.bit_count() for row in parent.adj]
         for nb in range(1, 1 << new):
             adj = [parent.adj[i] | ((nb >> i & 1) << new) for i in range(new)]
             adj.append(nb)
-            d = popcount(nb)
+            d = nb.bit_count()
             if not any(degrees[u] + (nb >> u & 1) > d and _connected_without(adj, u) for u in range(new)):
                 found.add(_canon_key_raw(n, adj, 0))
     return tuple(sorted(found))

@@ -64,9 +64,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-popcount = int.bit_count
-
-
 def indicator(masks: Iterable[int]) -> int:
     """The family as one integer: bit F is set iff F is among the masks."""
     v = 0
@@ -427,7 +424,7 @@ class SetSystem(LabeledBits):
     def is_isomorphic(self, other: SetSystem) -> bool:
         if self.size != other.size or len(self.feasible) != len(other.feasible):
             return False
-        if sorted(map(popcount, self.feasible)) != sorted(map(popcount, other.feasible)):
+        if sorted(map(int.bit_count, self.feasible)) != sorted(map(int.bit_count, other.feasible)):
             return False
         return canonical_key(self) == canonical_key(other)
 
@@ -450,6 +447,11 @@ def _apply_perm(masks: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def labelings(masks: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The family relabeled by each permutation of range(n), in turn."""
+    return (_apply_perm(masks, p) for p in itertools.permutations(range(n)))
+
+
 def canonical_key(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     """(n, minimal feasible tuple over all ground permutations).
 
@@ -462,6 +464,6 @@ def canonical_key(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     hit = _canon_cache.get(key)
     if hit is not None:
         return (n, hit)
-    best = min(_apply_perm(system.feasible, p) for p in itertools.permutations(range(n)))
+    best = min(labelings(system.feasible, n))
     _canon_cache[key] = best
     return (n, best)

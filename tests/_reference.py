@@ -29,7 +29,7 @@ is_ribbon_graphic_ref are the ribbon-graphic path that builds every
 minor with three_minor, twists it onto its least feasible set and
 reconstructs its matrix, against which the graph read off each leaf is
 checked.  orbit_up_to_iso_ref canonicalizes every labeled member of the
-closure, against which the class-by-class walk is checked.
+closure, against which the class sweep is checked.
 """
 
 from __future__ import annotations

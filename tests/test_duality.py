@@ -18,8 +18,8 @@ from _helpers import all_proper, sysf
 from _reference import family_of, loop_complement_ref, orbit_up_to_iso_ref, to_sets, twist_ref
 
 
-def random_proper(rng, max_n):
-    n = rng.randint(1, max_n)
+def random_proper(rng, max_n, min_n=1):
+    n = rng.randint(min_n, max_n)
     bits = rng.randrange(1, 1 << (1 << n))
     return SetSystem(tuple("abcdef"[:n]), tuple(i for i in range(1 << n) if bits >> i & 1))
 
@@ -57,12 +57,29 @@ def test_orbit_guard(monkeypatch):
             orbit(SetSystem(tuple(f"x{i}" for i in range(9)), (0,)), up_to_iso)
 
 
+def test_orbit_up_to_iso_guard(monkeypatch):
+    """Up to isomorphism an 8-element input is refused before the closure
+    is built; the labeled closure still admits it."""
+    empty8 = SetSystem(tuple(f"x{i}" for i in range(8)), (0,))
+    assert orbit(empty8).size == 3 ** 8
+
+    def no_work(*args):
+        raise AssertionError("work before the guard")
+
+    monkeypatch.setattr(SetSystem, "twist", no_work)
+    with pytest.raises(ValueError, match="orbit guard: ground sets over 7 elements"):
+        orbit(empty8, up_to_iso=True)
+
+
 def test_orbit_up_to_iso_is_the_canonical_labeled_closure():
-    """The class-by-class walk gives the canonical forms of the labeled
-    members, on every proper system with at most 3 elements and every
-    catalog entry with at most 5."""
+    """The class sweep gives the canonical forms of the labeled members,
+    on every proper system with at most 3 elements, every catalog entry
+    with at most 5 and seeded random systems on 4 and 5 elements."""
     systems = [s for n in range(4) for s in all_proper(n, "abc")]
     systems += [catalog.get(name) for name in catalog.names() if catalog.get(name).size <= 5]
+    rng = random.Random(25)
+    systems += [random_proper(rng, 4, min_n=4) for _ in range(28)]
+    systems += [random_proper(rng, 5, min_n=5) for _ in range(2)]
     for s in systems:
         assert orbit(s, up_to_iso=True).members == orbit_up_to_iso_ref(s), str(s)
 

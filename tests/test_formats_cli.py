@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -78,10 +79,11 @@ _NAMED_PAYLOADS = {
     "triple-edge.json": ('{"vertices": ["a","b","c"], "edges": [["a","b","c"]]}', "'a', 'b', 'c'"),
     "single-edge.json": ('{"vertices": ["a"], "edges": [["a"]]}', "pair of vertex names"),
 }
-# inputs at or over a guard: ORBIT_GUARD, MAX_GROUND as a graph, gf2.MAX_FAMILY, and the
-# exchange and binary guards of check (path15 sits just under the exchange guard, looped16
-# exactly at the binary guard)
+# inputs at or over a guard: ORBIT_GUARD and ISO_ORBIT_GUARD, MAX_GROUND as a graph,
+# gf2.MAX_FAMILY, and the exchange and binary guards of check (path15 sits just under the
+# exchange guard, looped16 exactly at the binary guard)
 _GUARD_INPUTS = {
+    "eight.json": json.dumps({"ground": [f"x{i}" for i in range(8)], "feasible": [[]]}),
     "nine.json": json.dumps({"ground": [f"x{i}" for i in range(9)], "feasible": [[]]}),
     "isolated25.txt": " ".join(f"v{i}" for i in range(25)),
     "looped22.txt": ", ".join(f"v{i}-v{i}" for i in range(22)),  # 2^22 sets, over the family guard
@@ -279,7 +281,11 @@ _NO_TRACEBACK_CASES = (
     # a refusal by the library, one per subcommand
     (["apply", "catalog:S3", "del:zz"], None, 2, "", "'zz'", 120),
     (["classify-element", "catalog:S3", "zz"], None, 2, "", "'zz'", 120),
-    (["orbit", "{tmp}/nine.json"], None, 2, "", "orbit guard", 120),
+    (["orbit", "{tmp}/nine.json"], None, 2, "", "orbit guard: ground sets over 8 elements", 120),
+    # up to isomorphism the orbit guard is 7 elements; labeled it stays 8
+    (["orbit", "{tmp}/eight.json"], None, 2, "", "orbit guard: ground sets over 7 elements", 120),
+    (["orbit", "{tmp}/eight.json", "--labeled"], 1, 0, "orbit size (labeled): 6561\n", None, 120),
+    (["orbit", "{tmp}/nine.json", "--labeled"], None, 2, "", "orbit guard: ground sets over 8 elements", 120),
     (["obstructions", "circle", "--rederive", "--max-n", "9"], None, 2, "", "obstruction search guard", 120),
     (["verify", "main-theorem", "--max-n", "5"], None, 2, "", "exhaustive suite guard", 120),
     (["check", "{tmp}/isolated25.txt"], None, 2, "", "error: ground set larger than 24 elements", 120),
@@ -349,6 +355,24 @@ def test_orbit_command(capsys):
     assert main(["orbit", "catalog:S2", "--labeled"]) == 0
     out2 = capsys.readouterr().out
     assert out2.startswith("orbit size (labeled):")
+
+
+# sha256 of the stdout of orbit in both modes: the printed members and
+# their order must not depend on how the closure is computed
+_ORBIT_DIGESTS = {
+    ("catalog:S5",): "c3af4742bed9e62d6336e0140713051771c99e4d21349b6e6af6c9ddedec2864",
+    ("catalog:S5", "--labeled"): "5c948e4da4f990314bc29bf029a7f72eae4f376b4601ad4ace48b859d389f7ec",
+    ("catalog:T8",): "10f73044f0c131fb818d91b7cf713fc0859d5daf76308b42c20b1a863d520530",
+    ("catalog:T8", "--labeled"): "ef3019be6f9daff715d87ecc812a40b97e8a4f020b5b19af25af13641d9275c1",
+    ("catalog:B4",): "a37cb6147d6430f85b927c546f050204d8dd32f2f9e2014c89cc06256d52a3ae",
+    ("catalog:B4", "--labeled"): "72a9948bc8f3a92f4ee42e1e2520436224e5effea3eddd18ce416067b7269100",
+}
+
+
+def test_orbit_stdout_is_pinned(capsys):
+    for argv, digest in _ORBIT_DIGESTS.items():
+        assert main(["orbit", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 def test_usage_errors(tmp_path, capsys):
