@@ -82,8 +82,9 @@ def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
 
 def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
     """Twisted-duality closure of a proper set system.  Up to isomorphism,
-    the canonical form of any member left in the labeled closure names a
-    class, and every labeling of that class leaves the closure."""
+    any member left in the labeled closure names a class: the least of
+    its labelings is the class's canonical form (as canonical_key takes
+    it), and every labeling leaves the closure."""
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
     _refuse_over_guard(system)
@@ -93,11 +94,14 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
         )
     states = _labeled_closure(system)
     if up_to_iso:
+        n = system.size
+        positional = tuple(str(i) for i in range(n))
         classes = {}
         while states:
-            c = next(iter(states.values())).canonical_form()
-            classes[c.feasible] = c
-            for feas in labelings(c.feasible, c.size):
+            labs = set(labelings(next(iter(states)), n))
+            c = min(labs)
+            classes[c] = SetSystem(positional, c)
+            for feas in labs:
                 states.pop(feas, None)
         states = classes
     return Orbit(tuple(states[feas] for feas in sorted(states)))

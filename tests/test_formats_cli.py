@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import deltamatroids
 from deltamatroids import catalog, cli, formats, gf2, verify
 from deltamatroids.cli import build_parser, main
+from deltamatroids.duality import is_vf_safe_via_obstruction
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph, circle_obstructions, graph_canonical_key, graph_from_key
 from deltamatroids.setsystem import SetSystem
@@ -79,9 +82,22 @@ _NAMED_PAYLOADS = {
     "triple-edge.json": ('{"vertices": ["a","b","c"], "edges": [["a","b","c"]]}', "'a', 'b', 'c'"),
     "single-edge.json": ('{"vertices": ["a"], "edges": [["a"]]}', "pair of vertex names"),
 }
+
+
+def _seeded_matrix(n, seed):
+    """A symmetric GF(2) matrix payload on v0 ... v(n-1), every entry on
+    and above the diagonal a seeded coin flip."""
+    rng = random.Random(seed)
+    bits = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            bits[i][j] = bits[j][i] = rng.getrandbits(1)
+    return json.dumps({"labels": [f"v{i}" for i in range(n)], "rows": ["".join(map(str, r)) for r in bits]})
+
+
 # inputs at or over a guard: ORBIT_GUARD and ISO_ORBIT_GUARD, MAX_GROUND as a graph,
-# gf2.MAX_FAMILY, and the exchange and binary guards of check (path15 sits just under the
-# exchange guard, looped16 exactly at the binary guard)
+# gf2.MAX_FAMILY, and the exchange, binary and vf guards of check (path15 sits just under the
+# exchange guard, looped16 exactly at the binary guard, binary12 at the vf guard)
 _GUARD_INPUTS = {
     "eight.json": json.dumps({"ground": [f"x{i}" for i in range(8)], "feasible": [[]]}),
     "nine.json": json.dumps({"ground": [f"x{i}" for i in range(9)], "feasible": [[]]}),
@@ -90,6 +106,7 @@ _GUARD_INPUTS = {
     "path15.txt": ", ".join(f"v{i}-v{i + 1}" for i in range(14)),  # 987 feasible sets
     "path20.txt": ", ".join(f"v{i}-v{i + 1}" for i in range(19)),  # 10 946 feasible sets
     "looped16.txt": ", ".join(f"v{i}-v{i}" for i in range(16)),  # all 2^16 sets feasible
+    "binary12.json": _seeded_matrix(12, 2),  # 1 727 sets, no S3 dual minor: the 4^12 walk takes 6-7 s
 }
 _CHECK_LINES = ("proper", "delta-matroid", "even", "normal", "basic-binary", "binary", "vf-safe", "ribbon-graphic")
 _OVER_EXCHANGE = "skipped (feasible sets over guard)"
@@ -297,6 +314,9 @@ _NO_TRACEBACK_CASES = (
      _check_out(20, "yes", _OVER_EXCHANGE, "yes", "yes", *[_OVER_GROUND] * 4), None, 5),
     (["check", "{tmp}/looped16.txt"], None, 0,
      _check_out(16, "yes", _OVER_EXCHANGE, "no", "yes", "yes", "yes", *[_OVER_GROUND] * 2), None, 5),
+    # at the vf guard a binary input is answered from its binary line
+    (["check", "{tmp}/binary12.json"], None, 0,
+     _check_out(12, "yes", _OVER_EXCHANGE, "no", "yes", "yes", "yes", "yes", _OVER_GROUND), None, 5),
 )
 
 
@@ -320,6 +340,40 @@ def test_cli_input_and_output_failures_are_not_tracebacks(tmp_path):
         assert err.startswith("error: ") == (code == 2), (argv, err)
         assert named is None or named in err, (argv, err)
     assert not (tmp_path / "missing").exists()
+
+
+def _check_queries_pool():
+    """(name, JSON text) of every check-queries benchmark input, read from
+    perfbench/queries.py without importing perfbench as a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pool()
+
+
+def test_check_vf_safe_line_is_the_obstruction_walk(tmp_path, capsys):
+    """check answers vf-safe from `binary: yes` without walking the minors;
+    on every catalog entry up to the vf guard and every check-queries
+    input, its line is the walk's verdict."""
+    refs = [f"catalog:{name}" for name in catalog.names() if catalog.get(name).size <= 12]
+    for name, text in _check_queries_pool():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        refs.append(str(path))
+    assert len(refs) == 21 + 540
+    seen = set()
+    for ref in refs:
+        assert main(["check", ref]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        system = cli._load_system(ref)
+        if not system.is_proper:
+            assert not any(line.startswith("vf-safe:") for line in lines), ref
+            continue
+        walk = is_vf_safe_via_obstruction(system)
+        assert f"vf-safe: {'yes' if walk else 'no'}" in lines, ref
+        seen.add(("binary: yes" in lines, walk))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_check_witness_line(capsys):

@@ -530,6 +530,24 @@ def test_ribbon_recognition_at_its_guard():
     assert is_ribbon_graphic(c8.delta_matroid())
 
 
+def test_every_circle_class_key_passes_the_degree_filter():
+    """The degree filter of is_ribbon_graphic keeps every graph of the
+    classes.  Each key's degree sequence is one of its class's, and D(G)
+    for each key G with a seeded nonempty loop set is refused at the
+    walk's first leaf, the whole system, whose looped graph is G with
+    those loops, which the filter must clear."""
+    rng = random.Random(26)
+    for k, count in ((6, 2), (7, 9), (8, 12)):
+        keys = graphs._circle_class(k)
+        sequences = graphs._degree_sequences(keys)
+        assert len(sequences) == count
+        for key in sorted(keys):
+            g = graph_from_key(key)
+            assert tuple(sorted(row.bit_count() for row in g.adj)) in sequences
+            looped = LoopedSimpleGraph(g.labels, g.adj, rng.randrange(1, 1 << k))
+            assert not is_ribbon_graphic(looped.delta_matroid()), (key, looped.loops)
+
+
 def leaf_graph_key(system, x, y, z, leaf):
     """The key of the simple graph read off a walk leaf, as
     is_ribbon_graphic reads it."""
