@@ -20,6 +20,9 @@ Loop toggles make the loops free, and a local complementation at a
 looped vertex acts on the simple graph as a plain one, so the class is
 every loop pattern over the local-complementation orbit of G.  Each
 minor's B is read off the walk's leaf indicator by gf2.basic_rows.
+Vertex minors take the same leaf read, as the three-operation minors of
+D(G) are the delta-matroids of the vertex minors of G up to twisted
+duality: H is one exactly when a minor's simple graph is in H's orbit.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
     """_canon_key_raw, memoized for lc_orbit_keys, the one-vertex
-    deletions that find_circle_obstructions decides and the ribbon
-    minors' leaf graphs that pass the degree filter, which revisit
+    deletions that find_circle_obstructions decides and the leaf
+    graphs of _has_minor_in that pass the degree filter, which revisit
     labeled graphs (679 of 6 271 and 67 of 134 lookups hit in
     verify_circle_obstructions(7), 780 of 2 613 leaf lookups on every
     tenth connected 8-vertex graph)."""
@@ -481,34 +484,18 @@ def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
 
 def is_vertex_minor(graph: LoopedSimpleGraph, target: LoopedSimpleGraph) -> bool:
     """Is the target reachable, up to isomorphism, by local
-    complementations and vertex deletions?"""
+    complementations and vertex deletions?
+
+    Yes exactly when some three-operation minor of D(graph) with as many
+    elements as the target has its leaf graph in the target's LC orbit
+    (_has_minor_in).  The walk sees graphs only up to loops, since loop
+    toggles are twisted dualities, so looped inputs are refused."""
     if graph.size > VERTEX_MINOR_GUARD:
         raise ValueError(f"vertex-minor guard: over {VERTEX_MINOR_GUARD} vertices")
-    target_key = graph_canonical_key(target)
-    tn = target.size
-    if tn > graph.size:
-        return False
-    memo: dict[GraphKey, bool] = {}
-
-    def reach(key: GraphKey) -> bool:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cls = lc_orbit_keys(graph_from_key(key))
-        if key[0] == tn:
-            res = target_key in cls
-        else:
-            res = False
-            for member in cls:
-                rep = graph_from_key(member)
-                if any(reach(graph_canonical_key(rep.delete_vertex(v))) for v in rep.labels):
-                    res = True
-                    break
-        for member in cls:
-            memo[member] = res
-        return res
-
-    return reach(graph_canonical_key(graph))
+    if graph.loops or target.loops:
+        raise ValueError("vertex minors require loopless graphs")
+    return target.size <= graph.size and _has_minor_in(
+        graph.delta_matroid(), {target.size: lc_orbit_keys(target)})
 
 
 # ----------------------------------------------------------------------
@@ -564,41 +551,51 @@ def _degree_sequences(keys: frozenset[GraphKey]) -> frozenset[tuple[int, ...]]:
     return frozenset(tuple(sorted(row.bit_count() for row in graph_from_key(k).adj)) for k in keys)
 
 
+def _has_minor_in(system: SetSystem, classes: dict[int, frozenset[GraphKey]]) -> bool:
+    """Has the binary system a three-operation minor whose leaf graph is
+    in classes[its size]?
+
+    Every minor of a binary system is binary, so twisted at its least
+    feasible set F, the lowest set bit of the walk's leaf, it is D(B) for
+    the looped graph B that basic_rows reads off the leaf.  Only minors
+    of the sizes in classes are formed, and the leaf graph is the simple
+    graph under B.
+
+    A leaf graph is canonicalized only if its sorted degree sequence is
+    one of its class's.  Isomorphic graphs have equal degree sequences,
+    so a graph this filter rejects is in no class, and every verdict is
+    the one the keys alone give.  The circle classes hold 2, 9 and 22
+    keys at 6, 7 and 8 vertices, with 2, 9 and 12 sequences, and
+    verify_rg_consistency(7) keys 1 260 leaf graphs instead of 19 149.
+    """
+    for x, y, z, leaf in system.iter_three_minors(frozenset(classes)):
+        kept = system.full_mask & ~(x | y | z)
+        positions = [i for i in range(system.size) if kept >> i & 1]
+        rows = basic_rows(lambda f: leaf >> f & 1, positions, (leaf & -leaf).bit_length() - 1)
+        simple = tuple(row & ~(1 << k) for k, row in enumerate(rows))
+        keys = classes[len(rows)]
+        if (tuple(sorted(row.bit_count() for row in simple)) in _degree_sequences(keys)
+                and graph_canonical_key(LoopedSimpleGraph(system.subset_labels(kept), simple)) in keys):
+            return True
+    return False
+
+
 def is_ribbon_graphic(system: SetSystem) -> bool:
     """Binary, and no three-operation minor in a circle-obstruction class.
 
     Binary settles the B1 and S3 obstructions (see the module docstring).
-    Only minors as large as a circle obstruction are then formed, so a
-    ground set smaller than all of them is never walked.  Every minor of
-    a binary system is binary, so twisted at its least feasible set F,
-    the lowest set bit of the walk's leaf, it is D(B) for the looped
-    graph B that basic_rows reads off the leaf.  The minor is in a class
-    iff the simple graph under B is in the obstruction's LC orbit.
-
-    A leaf graph is canonicalized only if its sorted degree sequence
-    (loops cleared) is one of the class's.  Isomorphic graphs have equal
-    degree sequences, so a graph this filter rejects is in no class, and
-    every verdict is the one the keys alone give.  The class holds 2, 9
-    and 22 keys at 6, 7 and 8 vertices, with 2, 9 and 12 sequences.
+    A minor is in a class iff the simple graph under its B is in the
+    obstruction's LC orbit, and only minors as large as a circle
+    obstruction are formed, so a ground set smaller than all of them is
+    never walked.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
     n = system.size
     if n > RIBBON_GUARD:
         raise ValueError(f"ribbon recognition guard: over {RIBBON_GUARD} elements")
-    if not is_binary(system):
-        return False
-    sizes = frozenset(g.size for g in circle_obstructions() if g.size <= n)
-    for x, y, z, leaf in system.iter_three_minors(sizes):
-        kept = system.full_mask & ~(x | y | z)
-        positions = [i for i in range(n) if kept >> i & 1]
-        rows = basic_rows(lambda f: leaf >> f & 1, positions, (leaf & -leaf).bit_length() - 1)
-        simple = tuple(row & ~(1 << k) for k, row in enumerate(rows))
-        keys = _circle_class(len(rows))
-        if (tuple(sorted(row.bit_count() for row in simple)) in _degree_sequences(keys)
-                and graph_canonical_key(LoopedSimpleGraph(system.subset_labels(kept), simple)) in keys):
-            return False
-    return True
+    return is_binary(system) and not _has_minor_in(
+        system, {g.size: _circle_class(g.size) for g in circle_obstructions() if g.size <= n})
 
 
 @lru_cache(maxsize=1)

@@ -29,7 +29,9 @@ is_ribbon_graphic_ref are the ribbon-graphic path that builds every
 minor with three_minor, twists it onto its least feasible set and
 reconstructs its matrix, against which the graph read off each leaf is
 checked.  orbit_up_to_iso_ref canonicalizes every labeled member of the
-closure, against which the class sweep is checked.
+closure, against which the class sweep is checked.  is_vertex_minor_ref
+is the recursion over LC orbits and vertex deletions that
+graphs.is_vertex_minor replaced by the three-operation minor walk.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from typing import Sequence
 from deltamatroids.duality import orbit
 from deltamatroids.gf2 import is_binary, reconstruct_basic_matrix
 from deltamatroids.graphs import (
+    VERTEX_MINOR_GUARD,
+    GraphKey,
     LoopedSimpleGraph,
     _canon_key_raw,
     _circle_class,
@@ -423,3 +427,35 @@ def orbit_up_to_iso_ref(system: SetSystem) -> tuple:
     """The canonical forms of the labeled closure's members, sorted."""
     forms = {m.canonical_form() for m in orbit(system).members}
     return tuple(sorted(forms, key=lambda m: m.feasible))
+
+
+def is_vertex_minor_ref(graph: LoopedSimpleGraph, target: LoopedSimpleGraph) -> bool:
+    """Is the target reachable, up to isomorphism, by local
+    complementations and vertex deletions?"""
+    if graph.size > VERTEX_MINOR_GUARD:
+        raise ValueError(f"vertex-minor guard: over {VERTEX_MINOR_GUARD} vertices")
+    target_key = graph_canonical_key(target)
+    tn = target.size
+    if tn > graph.size:
+        return False
+    memo: dict[GraphKey, bool] = {}
+
+    def reach(key: GraphKey) -> bool:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        cls = lc_orbit_keys(graph_from_key(key))
+        if key[0] == tn:
+            res = target_key in cls
+        else:
+            res = False
+            for member in cls:
+                rep = graph_from_key(member)
+                if any(reach(graph_canonical_key(rep.delete_vertex(v))) for v in rep.labels):
+                    res = True
+                    break
+        for member in cls:
+            memo[member] = res
+        return res
+
+    return reach(graph_canonical_key(graph))

@@ -34,6 +34,7 @@ from _reference import (
     connected_graph_keys_ref,
     interlacement_ref,
     is_ribbon_graphic_ref,
+    is_vertex_minor_ref,
     lc_orbit_keys_ref,
     looped_class_keys,
     simple_graph_key_ref,
@@ -386,6 +387,41 @@ def test_vertex_minor_guard():
         is_vertex_minor(big, P3)
 
 
+def test_vertex_minor_refuses_looped_inputs():
+    """The walk sees graphs only up to loops, so a loop on either side is
+    refused rather than answered."""
+    looped = graph("a", loops="a")
+    for g, h in ((looped, graph("a")), (graph("a"), looped), (P3.loop_toggle("b"), K3)):
+        with pytest.raises(ValueError, match="loopless"):
+            is_vertex_minor(g, h)
+
+
+def every_graph_up_to_iso(n):
+    """One loopless graph per isomorphism class on n vertices."""
+    return [graph_from_key(k) for k in sorted({graph_canonical_key(g) for g in every_loopless(n)})]
+
+
+def test_vertex_minor_matches_the_recursion():
+    """The three-operation minor walk against the recursion over LC orbits
+    and vertex deletions, both ways round: every graph on 0-5 vertices
+    (disconnected ones included) against every graph on 0-4 vertices no
+    larger (898 pairs), then a seeded sample of connected 6-vertex graphs
+    against graphs on at most 5 vertices."""
+    small = {n: every_graph_up_to_iso(n) for n in range(6)}
+    pairs = [(g, h) for n in range(6) for g in small[n] for m in range(min(n, 4) + 1) for h in small[m]]
+    assert len(pairs) == 898
+    rng = random.Random(27)
+    six = [graph_from_key(k) for k in connected_graph_keys(6)]
+    pairs += [(rng.choice(six), rng.choice(small[rng.randint(0, 5)])) for _ in range(300)]
+    verdicts = collections.Counter()
+    for g, h in pairs:
+        for a, b in ((g, h), (h, g)):
+            verdict = is_vertex_minor(a, b)
+            assert verdict == is_vertex_minor_ref(a, b), (a, b)
+            verdicts[verdict, a.size == b.size] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
 def test_circle_graphs_closed_under_vertex_minors():
     rng = random.Random(7)
     for key in connected_graph_keys(5):
@@ -475,6 +511,17 @@ def test_ribbon_testers_built_once_per_obstruction(monkeypatch):
         assert is_ribbon_graphic(SetSystem(tuple(f"x{i}" for i in range(n)), (0,)))
     assert {6, 7, 8} <= set(built) and set(built.values()) == {1}
     assert [len(shared(k)) for k in (6, 7, 8)] == [2, 9, 22]
+
+
+def test_excluded_three_minors_are_minimal():
+    """No proper three-operation minor of D(G), for a circle obstruction
+    G, lies in the class of a smaller obstruction, while D(G) itself lies
+    in its own."""
+    for g in circle_obstructions():
+        d = g.delta_matroid()
+        assert not graphs._has_minor_in(
+            d, {h.size: graphs._circle_class(h.size) for h in circle_obstructions() if h.size < g.size})
+        assert graphs._has_minor_in(d, {g.size: graphs._circle_class(g.size)})
 
 
 def every_loop_pattern(keys):
