@@ -21,6 +21,11 @@ the leading block.  Subsets Y + i are those of the Schur complement at i,
 whose row j is row_j + A_ji * row_i.  Over GF(2) a zero pivot A_ii needs no
 2x2 block pivot: det is linear in one diagonal entry, so
 det A[Y+i] = det A'[Y+i] + det A[Y] with A' equal to A except A'_ii = 1.
+The recursion stops at the leading 3x3 block, whose 8 determinants are
+read in closed form: over GF(2) the determinant of a symmetric matrix is
+the sum over its involutions, so with diagonal a, b, c and A_10 = d,
+A_20 = e, A_21 = f the bits are 1, a, b, ab+d, c, ac+e, bc+f and
+abc+af+be+cd.  A matrix with n >= 3 then costs 2^(n-2) - 1 calls.
 The recursion only eliminates; it does not pivot with ``ppt``, because the
 ppt suite checks the pivoting identity D(A*X) = D(A) * X against it.
 """
@@ -41,6 +46,12 @@ def _principal_minors(rows: Sequence[int], k: int) -> int:
     Only rows and columns below k are read, so neither the leading block
     nor the Schur complement needs its higher bits masked off.
     """
+    if k == 3:
+        r0, r1, r2 = rows[0], rows[1], rows[2]
+        a, b, c = r0 & 1, r1 >> 1 & 1, r2 >> 2 & 1
+        d, e, f = r1 & 1, r2 & 1, r2 >> 1 & 1
+        return (1 | a << 1 | b << 2 | (a & b ^ d) << 3 | c << 4 | (a & c ^ e) << 5
+                | (b & c ^ f) << 6 | (a & b & c ^ a & f ^ b & e ^ c & d) << 7)
     if k == 0:
         return 1
     if k == 1:

@@ -148,6 +148,33 @@ def test_feasible_masks_match_shift_extraction():
         assert m.feasible_masks() == tuple(x for x in range(1 << m.size) if dets >> x & 1), m
 
 
+def test_principal_minors_read_only_the_leading_block():
+    """Bits at or above column k and rows past k change nothing: the
+    recursion hands its bases rows that carry such bits."""
+    rng = random.Random(28)
+    for k in range(7):
+        for _ in range(60):
+            rows = random_symmetric(rng, k).rows
+            dets = gf2._principal_minors(rows, k)
+            junk = [row | rng.getrandbits(8) << k for row in rows]
+            junk += [rng.getrandbits(k + 8) for _ in range(rng.randint(1, 3))]
+            assert gf2._principal_minors(junk, k) == dets, (k, rows, junk)
+
+
+def test_feasible_sets_never_pivot(monkeypatch):
+    """The ppt suite checks the pivoting identity against these
+    determinants, so computing them must not pivot."""
+    def no_pivot(self, subset):
+        raise AssertionError("ppt called")
+
+    monkeypatch.setattr(SymmetricBinaryMatrix, "ppt", no_pivot)
+    rng = random.Random(29)
+    cases = [m for n in range(5) for m in all_symmetric(n)]
+    cases += [random_symmetric(rng, n) for n in range(5, 11) for _ in range(20)]
+    for m in cases:
+        assert m.delta_matroid().feasible == m.feasible_masks()
+
+
 def test_delta_matroid_of_matrix_examples():
     assert matrix("1", "1").delta_matroid() == SetSystem(("1",), (0, 1))
     assert matrix("12", "01", "10").delta_matroid() == SetSystem(("1", "2"), (0, 3))
