@@ -148,10 +148,12 @@ class CatalogIndex:
     """Catalog entries prepared once for matching three-operation minors.
 
     keys maps each canonical key to the first entry index carrying it.
-    table(n, kept) is the set of indicators of every labeling of every
-    entry with |kept| elements, placed on the kept positions of an
-    n-element ground set, so a minor's indicator from
-    SetSystem.iter_three_minors is matched without canonicalizing it.
+    table(n, kept) maps the indicator of every labeling of every entry
+    with |kept| elements, placed on the kept positions of an n-element
+    ground set, to the first entry index of its class, so a minor's
+    indicator from SetSystem.iter_three_minors is matched without
+    canonicalizing it. Each value starts as None and is filled from keys
+    on the indicator's first hit in find_catalog_3_minor.
     """
 
     def __init__(self, entries: Sequence[SetSystem]) -> None:
@@ -161,9 +163,9 @@ class CatalogIndex:
             self.keys.setdefault(canonical_key(e), i)
             self.labelings.setdefault(e.size, set()).update(labelings(e.feasible, e.size))
         self.sizes = frozenset(self.labelings)
-        self._tables: dict[tuple[int, int], frozenset[int]] = {}
+        self._tables: dict[tuple[int, int], dict[int, int | None]] = {}
 
-    def table(self, n: int, kept: int) -> frozenset[int]:
+    def table(self, n: int, kept: int) -> dict[int, int | None]:
         hit = self._tables.get((n, kept))
         if hit is not None:
             return hit
@@ -172,7 +174,7 @@ class CatalogIndex:
             sum(1 << p for j, p in enumerate(positions) if m >> j & 1)
             for m in range(1 << len(positions))
         ]
-        table = frozenset(
+        table = dict.fromkeys(
             indicator(spread[m] for m in feasible)
             for feasible in self.labelings.get(len(positions), ())
         )
@@ -186,15 +188,21 @@ def find_catalog_3_minor(system: SetSystem, index: CatalogIndex) -> MinorMatch |
     Assignments of elements to keep / delete / contract / penrose are
     scanned in itertools.product(range(4), repeat=n) order (see
     SetSystem.iter_three_minors), so the witness is deterministic.
-    Minors whose ground size matches no entry are never formed.
+    Minors whose ground size matches no entry are never formed, and a
+    hit forms its minor only the first time the index sees its leaf
+    indicator on those kept positions: the indicator fixes the minor's
+    feasible family, and so its entry.
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
     n = system.size
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(index.sizes):
-        if leaf in index.table(n, full & ~(x | y | z)):
-            idx = index.keys[canonical_key(system.three_minor(x, y, z))]
+        table = index.table(n, full & ~(x | y | z))
+        if leaf in table:
+            idx = table[leaf]
+            if idx is None:
+                idx = table[leaf] = index.keys[canonical_key(system.three_minor(x, y, z))]
             return MinorMatch(x, y, z, idx)
     return None
 

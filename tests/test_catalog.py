@@ -103,3 +103,13 @@ def test_catalog_imports_only_setsystem():
     by `verify tables`, so catalog needs nothing from duality."""
     source = Path(__file__).resolve().parents[1] / "src" / "deltamatroids" / "catalog.py"
     assert _package_imports(source) == {"setsystem"}
+
+
+def test_every_source_parses_under_the_python_3_10_grammar():
+    """pyproject.toml declares requires-python >= 3.10, so no source under
+    src/, tests/ or perfbench/ may use newer syntax."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -12,7 +12,7 @@ from deltamatroids import catalog
 from deltamatroids.duality import CatalogIndex, MinorMatch, find_catalog_3_minor, orbit
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import circle_obstructions, is_ribbon_graphic
-from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key
+from deltamatroids.setsystem import SetSystem, UnrealizableMinorError, canonical_key, labelings
 
 from _reference import closure_tester
 
@@ -183,3 +183,52 @@ def test_enumerate_three_minors_matches_scan():
     for s in systems:
         for include_self in (True, False):
             assert s.enumerate_three_minors(include_self) == scan_enumerate(s, include_self), s
+
+
+def test_shared_index_answers_independent_of_visiting_order():
+    """The entry indices a CatalogIndex fills on first hits depend on the
+    leaf alone: one index shared forward, one shared in reverse and a
+    fresh index per system give the same witnesses."""
+    entries = binary_corollary_entries()
+    systems = [s for n in range(4) for s in proper_systems(n)] + seeded_systems(9, (5,), 4)
+    fresh = [find_catalog_3_minor(s, CatalogIndex(entries)) for s in systems]
+    forward_index, reverse_index = CatalogIndex(entries), CatalogIndex(entries)
+    forward = [find_catalog_3_minor(s, forward_index) for s in systems]
+    reverse = [find_catalog_3_minor(s, reverse_index) for s in reversed(systems)][::-1]
+    assert forward == reverse == fresh
+    assert None in fresh and len({m.catalog_index for m in fresh if m}) > 1
+
+
+def test_a_hit_reports_the_first_isomorphic_entry():
+    duals = catalog.s3_twisted_duals()
+    e = next(d for d in duals if len(set(labelings(d.feasible, d.size))) > 1)
+    relabeled = SetSystem(e.labels, max(set(labelings(e.feasible, e.size)) - {e.feasible}))
+    f = next(d for d in duals if canonical_key(d) != canonical_key(e))
+    index = CatalogIndex([e, relabeled, f])
+    for s, expected in ((relabeled, 0), (e, 0), (f, 2)):
+        assert find_catalog_3_minor(s, index) == MinorMatch(0, 0, 0, expected), s
+
+
+def test_each_distinct_leaf_forms_its_minor_once(monkeypatch):
+    """On one shared index a hit calls three_minor only for a (n, kept,
+    leaf) it has not seen; later hits of that leaf are a dict lookup."""
+    index = CatalogIndex(catalog.s3_twisted_duals())
+    systems = list(proper_systems(3)) + seeded_systems(13, (4,), 40)
+    calls = 0
+    three_minor = SetSystem.three_minor
+
+    def counted(self, *masks):
+        nonlocal calls
+        calls += 1
+        return three_minor(self, *masks)
+
+    monkeypatch.setattr(SetSystem, "three_minor", counted)
+    triples, hits = set(), 0
+    for s in systems:
+        match = find_catalog_3_minor(s, index)
+        if match is not None:
+            x, y, z = match.delete_mask, match.contract_mask, match.penrose_mask
+            leaf = next(w[3] for w in s.iter_three_minors() if w[:3] == (x, y, z))
+            triples.add((s.size, s.full_mask & ~(x | y | z), leaf))
+            hits += 1
+    assert 1 <= calls <= len(triples) < hits
