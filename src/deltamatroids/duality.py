@@ -9,20 +9,16 @@ from typing import Sequence
 from . import catalog
 from .exchange import is_delta_matroid_cached
 from .setsystem import (
+    MAX_CANON,
     SetSystem,
     SubsetLike,
     canonical_key,
     indicator,
     labelings,
+    subset_images,
 )
 
 ORBIT_GUARD = 8  # closure size is bounded by 6^n labeled systems
-# Up to isomorphism each class also costs one canonical form and one
-# sweep of n! labelings. At 8 elements even the smallest orbit, {∅} with
-# 45 classes, costs 8! labelings per class. S7 (396 classes) takes about
-# a minute, and S8, at 8 times the labelings per class, would take tens
-# of minutes.
-ISO_ORBIT_GUARD = 7
 
 
 def twisted_duals_wrt(system: SetSystem, subset: SubsetLike) -> list[SetSystem]:
@@ -88,10 +84,8 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
     if not system.is_proper:
         raise ValueError("orbit requires a proper system")
     _refuse_over_guard(system)
-    if up_to_iso and system.size > ISO_ORBIT_GUARD:
-        raise ValueError(
-            f"orbit guard: ground sets over {ISO_ORBIT_GUARD} elements up to isomorphism"
-        )
+    if up_to_iso and system.size > MAX_CANON:
+        raise ValueError(f"orbit guard: ground sets over {MAX_CANON} elements up to isomorphism")
     states = _labeled_closure(system)
     if up_to_iso:
         n = system.size
@@ -170,10 +164,7 @@ class CatalogIndex:
         if hit is not None:
             return hit
         positions = [i for i in range(n) if kept >> i & 1]
-        spread = [
-            sum(1 << p for j, p in enumerate(positions) if m >> j & 1)
-            for m in range(1 << len(positions))
-        ]
+        spread = subset_images(positions)
         table = dict.fromkeys(
             indicator(spread[m] for m in feasible)
             for feasible in self.labelings.get(len(positions), ())

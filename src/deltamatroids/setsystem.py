@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_GROUND = 24
-MAX_CANON = 10  # exact canonicalization searches all permutations
+MAX_CANON = 7  # labelings reads n! image tables of 2^n entries each
 
 SubsetLike = Union[int, Iterable[str]]
 
@@ -432,34 +432,37 @@ class SetSystem(LabeledBits):
 _canon_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 
-def _apply_perm(masks: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for m in masks:
-        r = 0
-        i = 0
-        while m:
-            if m & 1:
-                r |= 1 << perm[i]
-            m >>= 1
-            i += 1
-        out.append(r)
-    out.sort()
-    return tuple(out)
+def subset_images(positions: Sequence[int]) -> list[int]:
+    """The image of every mask under j -> positions[j], indexed by the mask."""
+    images = [0]
+    for p in positions:
+        images += [m | 1 << p for m in images]
+    return images
+
+
+@lru_cache(maxsize=None)
+def _perm_images(n: int) -> tuple[list[int], ...]:
+    return tuple(subset_images(p) for p in itertools.permutations(range(n)))
 
 
 def labelings(masks: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
-    """The family relabeled by each permutation of range(n), in turn."""
-    return (_apply_perm(masks, p) for p in itertools.permutations(range(n)))
+    """The family relabeled by each permutation of range(n), in turn.
+
+    Each permutation's image table is built once per n and kept, so a
+    labeling is one lookup per mask; over MAX_CANON elements this raises
+    before it yields.
+    """
+    if n > MAX_CANON:
+        raise ValueError(f"canonicalization limited to {MAX_CANON} elements")
+    return (tuple(sorted(map(t.__getitem__, masks))) for t in _perm_images(n))
 
 
 def canonical_key(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     """(n, minimal feasible tuple over all ground permutations).
 
-    Exhaustive over permutations; guarded at MAX_CANON elements.
+    Exhaustive over labelings, so refused over MAX_CANON elements.
     """
     n = system.size
-    if n > MAX_CANON:
-        raise ValueError(f"canonicalization limited to {MAX_CANON} elements")
     key = (n, system.feasible)
     hit = _canon_cache.get(key)
     if hit is not None:

@@ -32,6 +32,9 @@ checked.  orbit_up_to_iso_ref canonicalizes every labeled member of the
 closure, against which the class sweep is checked.  is_vertex_minor_ref
 is the recursion over LC orbits and vertex deletions that
 graphs.is_vertex_minor replaced by the three-operation minor walk.
+relabel_ref is the bit-by-bit relabeling that setsystem.labelings
+replaced by per-permutation image tables; it works on bitmasks, because
+the labelings it pins are the library's.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from deltamatroids.graphs import (
     graph_from_key,
     lc_orbit_keys,
 )
-from deltamatroids.setsystem import SetSystem, _apply_perm
+from deltamatroids.setsystem import SetSystem
 
 
 def to_sets(system: SetSystem) -> tuple[tuple[str, ...], frozenset[frozenset[str]]]:
@@ -299,6 +302,22 @@ def circle_word_search_ref(n: int, adj: Sequence[int]) -> tuple[int, ...] | None
     return None
 
 
+def relabel_ref(masks: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The masks with bit i moved to bit perm[i], one bit at a time, sorted."""
+    out = []
+    for m in masks:
+        r = 0
+        i = 0
+        while m:
+            if m & 1:
+                r |= 1 << perm[i]
+            m >>= 1
+            i += 1
+        out.append(r)
+    out.sort()
+    return tuple(out)
+
+
 class ClosureTester:
     """Membership in the twisted-duality class of one system, up to
     isomorphism: its labeled closure as a set of feasible tuples, matched
@@ -317,7 +336,7 @@ class ClosureTester:
         if system.size != self.seed.size or self._profile(system.feasible) not in self.profiles:
             return False
         return any(
-            _apply_perm(system.feasible, perm) in self.families
+            relabel_ref(system.feasible, perm) in self.families
             for perm in itertools.permutations(range(system.size))
         )
 

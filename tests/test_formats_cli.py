@@ -95,7 +95,7 @@ def _seeded_matrix(n, seed):
     return json.dumps({"labels": [f"v{i}" for i in range(n)], "rows": ["".join(map(str, r)) for r in bits]})
 
 
-# inputs at or over a guard: ORBIT_GUARD and ISO_ORBIT_GUARD, MAX_GROUND as a graph,
+# inputs at or over a guard: ORBIT_GUARD and MAX_CANON (up to iso), MAX_GROUND as a graph,
 # gf2.MAX_FAMILY, and the exchange, binary and vf guards of check (path15 sits just under the
 # exchange guard, looped16 exactly at the binary guard, binary12 at the vf guard)
 _GUARD_INPUTS = {

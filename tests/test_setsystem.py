@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from deltamatroids import catalog
+from deltamatroids.duality import CatalogIndex
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph
 from deltamatroids.setsystem import (
@@ -11,6 +13,8 @@ from deltamatroids.setsystem import (
     SetSystem,
     UnrealizableMinorError,
     canonical_key,
+    labelings,
+    subset_images,
 )
 
 from _helpers import all_proper, sysf
@@ -18,6 +22,7 @@ from _reference import (
     family_of,
     loop_complement_ref,
     minor_ref,
+    relabel_ref,
     to_sets,
     twist_ref,
 )
@@ -356,7 +361,50 @@ def test_canonical_invariant_under_relabeling():
         assert canonical_key(relabeled) == canonical_key(s)
 
 
+def test_labelings_match_the_bit_loop():
+    """The table labelings are the bit-by-bit relabelings, permutation by
+    permutation in itertools order: on seeded families for every n <= 5
+    and on three each at 6 and 7 elements."""
+    rng = random.Random(31)
+    for n in [n for n in range(6) for _ in range(6)] + [6, 6, 6, 7, 7, 7]:
+        bits = rng.getrandbits(1 << n)
+        family = tuple(m for m in range(1 << n) if bits >> m & 1)
+        expected = [relabel_ref(family, p) for p in itertools.permutations(range(n))]
+        assert list(labelings(family, n)) == expected, (n, family)
+
+
+def test_subset_images_spread_every_kept_mask():
+    """subset_images(positions) sends mask m to the positions of its bits."""
+    for n in range(7):
+        for kept in range(1 << n):
+            positions = [i for i in range(n) if kept >> i & 1]
+            spread = [
+                sum(1 << p for j, p in enumerate(positions) if m >> j & 1)
+                for m in range(1 << len(positions))
+            ]
+            assert subset_images(positions) == spread, (n, kept)
+
+
 def test_canonical_guard():
-    big = SetSystem(tuple(f"x{i}" for i in range(11)), (0,))
-    with pytest.raises(ValueError):
-        canonical_key(big)
+    """labelings is the one n! scan and holds the one guard, MAX_CANON = 7:
+    everything that canonicalizes refuses 8 elements, labelings before it
+    yields, and answers at 7."""
+    limit = "canonicalization limited to 7 elements"
+    s8 = catalog.get("S8")
+    t8 = s8.twist(["e1"])
+    shifted8 = SetSystem(t8.labels, relabel_ref(t8.feasible, (1, 2, 3, 4, 5, 6, 7, 0)))
+    for refused in (
+        lambda: canonical_key(s8),
+        lambda: labelings(s8.feasible, 8),
+        lambda: CatalogIndex([s8]),
+        lambda: t8.is_isomorphic(shifted8),
+    ):
+        with pytest.raises(ValueError, match=limit):
+            refused()
+    s7 = catalog.get("S7")
+    t7 = s7.twist(["e1"])
+    shifted7 = SetSystem(t7.labels, relabel_ref(t7.feasible, (1, 2, 3, 4, 5, 6, 0)))
+    assert canonical_key(s7) == (7, (0, 127))
+    assert len(set(labelings(t7.feasible, 7))) == 7
+    assert CatalogIndex([s7]).sizes == {7}
+    assert t7 != shifted7 and t7.is_isomorphic(shifted7)
