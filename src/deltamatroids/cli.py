@@ -62,21 +62,21 @@ def _load_system(ref: str) -> SetSystem:
     return obj if isinstance(obj, SetSystem) else obj.delta_matroid()
 
 
+_TOKEN_OPS = {op.value: op for op in Op}
+
+
 def _parse_ops(tokens: list[str]) -> list[tuple[str, Op]]:
+    """Each token names an Op by its value: *e +e, or del:e con:e pen:e."""
     out = []
     for tok in tokens:
-        if tok.startswith("*") and len(tok) > 1:
-            out.append((tok[1:], Op.TWIST))
-        elif tok.startswith("+") and len(tok) > 1:
-            out.append((tok[1:], Op.LOOP_COMPLEMENT))
-        elif tok.startswith("del:"):
-            out.append((tok[4:], Op.DELETE))
-        elif tok.startswith("con:"):
-            out.append((tok[4:], Op.CONTRACT))
-        elif tok.startswith("pen:"):
-            out.append((tok[4:], Op.PENROSE))
+        if len(tok) > 1 and tok[0] in "*+":
+            op, e = _TOKEN_OPS[tok[0]], tok[1:]
         else:
+            head, colon, e = tok.partition(":")
+            op = _TOKEN_OPS.get(head) if colon else None
+        if op is None:
             raise UsageError(f"bad operation token {tok!r} (use *e +e del:e con:e pen:e)")
+        out.append((e, op))
     return out
 
 

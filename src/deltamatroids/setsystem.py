@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 MAX_GROUND = 24
 MAX_CANON = 7  # labelings reads n! image tables of 2^n entries each
@@ -137,7 +137,7 @@ class LabeledBits:
         0/1 matrix on them; returns the mask of the diagonal ones."""
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            raise ValueError(f"{self._noun} labels must be distinct")
+            raise ValueError(f"{self._where} labels must be distinct")
         if len(rows) != n:
             raise ValueError(f"row count must match {self._noun} count")
         full = (1 << n) - 1
@@ -264,32 +264,25 @@ class SetSystem(LabeledBits):
         labels, kept = self._gather(removed, masks)
         return SetSystem(labels, tuple(sorted(set(kept))))
 
-    def delete(self, e: str) -> SetSystem:
-        """Remove e, keeping feasible sets that avoid it.
-
-        Deleting a coloop silently contracts instead, so the result is
-        always proper.
-        """
+    def _remove(self, e: str, through: bool) -> SetSystem:
+        """Remove e, keeping the feasible sets on the requested side of it
+        (through e, or avoiding it); if none is, keep them all."""
         if not self.is_proper:
             raise ValueError("minor operations require a proper system")
         bit = self.element_bit(e)
-        kept = [m for m in self.feasible if not m & bit]
-        if not kept:  # e is a coloop (or the system is improper)
-            return self.contract(e)
-        return self._without(bit, kept)
+        side = bit if through else 0
+        kept = [m for m in self.feasible if m & bit == side]
+        return self._without(bit, kept or self.feasible)
+
+    def delete(self, e: str) -> SetSystem:
+        """Remove e, keeping the feasible sets that avoid it, or all of
+        them if none does: deleting a coloop contracts it."""
+        return self._remove(e, through=False)
 
     def contract(self, e: str) -> SetSystem:
-        """Remove e, keeping feasible sets through it (with e stripped).
-
-        Contracting a loop silently deletes instead.
-        """
-        if not self.is_proper:
-            raise ValueError("minor operations require a proper system")
-        bit = self.element_bit(e)
-        kept = [m for m in self.feasible if m & bit]
-        if not kept:  # e is a loop
-            return self.delete(e)
-        return self._without(bit, kept)
+        """Remove e, keeping the feasible sets through it (e stripped), or
+        all of them if none is: contracting a loop deletes it."""
+        return self._remove(e, through=True)
 
     def penrose_contract(self, e: str) -> SetSystem:
         """Loop-complement at e, then contract e."""
@@ -326,21 +319,12 @@ class SetSystem(LabeledBits):
         return self._without(x | y | z, kept)
 
     def apply_sequence(self, ops: Sequence[tuple[str, Op]]) -> SetSystem:
-        """Left fold of single-element operations."""
+        """Left fold of single-element operations, each read from _APPLY."""
         s = self
         for e, op in ops:
-            if op is Op.DELETE:
-                s = s.delete(e)
-            elif op is Op.CONTRACT:
-                s = s.contract(e)
-            elif op is Op.PENROSE:
-                s = s.penrose_contract(e)
-            elif op is Op.TWIST:
-                s = s.twist(s.element_bit(e))
-            elif op is Op.LOOP_COMPLEMENT:
-                s = s.loop_complement(s.element_bit(e))
-            else:
+            if not isinstance(op, Op):
                 raise ValueError(f"unknown operation {op!r}")
+            s = _APPLY[op](s, e)
             if not s.is_proper:
                 raise ValueError("sequence left an improper system")
         return s
@@ -428,6 +412,16 @@ class SetSystem(LabeledBits):
             return False
         return canonical_key(self) == canonical_key(other)
 
+
+# apply_sequence's operation table; each entry looks its method up on the
+# system, so it applies an operation exactly as that method does
+_APPLY: dict[Op, Callable[[SetSystem, str], SetSystem]] = {
+    Op.DELETE: lambda s, e: s.delete(e),
+    Op.CONTRACT: lambda s, e: s.contract(e),
+    Op.PENROSE: lambda s, e: s.penrose_contract(e),
+    Op.TWIST: lambda s, e: s.twist(s.element_bit(e)),
+    Op.LOOP_COMPLEMENT: lambda s, e: s.loop_complement(s.element_bit(e)),
+}
 
 _canon_cache: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 

@@ -183,8 +183,8 @@ def verify_identities() -> VerificationReport:
 
 
 # expected interaction-table entries: rows are the six twisted duals of S
-# with respect to e, columns contract/delete/penrose; values index into
-# (contract, delete, penrose) of the untouched system.
+# at e, as words of Op values, columns contract/delete/penrose; values
+# index into (contract, delete, penrose) of the untouched system.
 _TABLE_ROWS = (
     ("", (0, 1, 2)),
     ("*", (1, 0, 2)),
@@ -193,6 +193,13 @@ _TABLE_ROWS = (
     ("*+", (2, 0, 1)),
     ("*+*", (0, 2, 1)),
 )
+# the three-operation roles of an element: kept, deleted, contracted, penrose-contracted
+_ROLES = (None, Op.DELETE, Op.CONTRACT, Op.PENROSE)
+
+
+def _commute(s: SetSystem, first: tuple[str, Op], second: tuple[str, Op]) -> bool:
+    """The two single-element operations give one system in either order."""
+    return s.apply_sequence([first, second]) == s.apply_sequence([second, first])
 
 
 def _check_interactions(case: tuple[SetSystem, int]) -> list[Failure]:
@@ -223,55 +230,32 @@ def _check_interactions(case: tuple[SetSystem, int]) -> list[Failure]:
     others = [x for x in s.labels if x != e]
     if others:
         f = rng.choice(others)
-        lhs = s.loop_complement(eb).delete(f)
-        rhs = s.delete(f)
-        if lhs != rhs.loop_complement(rhs.element_bit(e)):
-            failures.append((name, "S+a\\b = S\\b+a", f"a={e} b={f}"))
-        lhs = s.loop_complement(eb).contract(f)
-        rhs = s.contract(f)
-        if lhs != rhs.loop_complement(rhs.element_bit(e)):
-            failures.append((name, "S+a/b = S/b+a", f"a={e} b={f}"))
+        for op, sym in ((Op.DELETE, "\\"), (Op.CONTRACT, "/")):
+            if not _commute(s, (e, Op.LOOP_COMPLEMENT), (f, op)):
+                failures.append((name, f"S+a{sym}b = S{sym}b+a", f"a={e} b={f}"))
         # a minor at e commutes with twisting or complementing at f
-        fb = s.element_bit(f)
-        for opname, mfun in (("del", SetSystem.delete), ("con", SetSystem.contract),
-                             ("pen", SetSystem.penrose_contract)):
-            for dualname, dfun in (("*", SetSystem.twist), ("+", SetSystem.loop_complement)):
-                lhs = mfun(dfun(s, fb), e)
-                base = mfun(s, e)
-                rhs = dfun(base, base.element_bit(f))
-                if lhs != rhs:
-                    failures.append((name, f"{opname}:{e} commutes with {dualname}{f}", "differs"))
+        for op in _ROLES[1:]:
+            for dual in (Op.TWIST, Op.LOOP_COMPLEMENT):
+                if not _commute(s, (f, dual), (e, op)):
+                    failures.append((name, f"{op.value}:{e} commutes with {dual.value}{f}", "differs"))
 
     reference = (s.contract(e), s.delete(e), s.penrose_contract(e))
-    bases = {
-        "": s,
-        "*": s.twist(eb),
-        "+": s.loop_complement(eb),
-        "+*": s.loop_complement(eb).twist(eb),
-        "*+": s.twist(eb).loop_complement(eb),
-        "*+*": s.twist(eb).loop_complement(eb).twist(eb),
-    }
     for row, expect in _TABLE_ROWS:
-        base = bases[row]
+        base = s.apply_sequence([(e, Op(ch)) for ch in row])
         got = (base.contract(e), base.delete(e), base.penrose_contract(e))
         for col, (g, want) in zip("/\\‡", zip(got, expect)):
             if g != reference[want]:
                 failures.append((name, f"table row {row or 'S'} col {col} at {e}", "differs"))
 
     # order independence of a witnessed three-operation minor
-    roles = [rng.randrange(4) for _ in s.labels]
-    x = y = z = 0
+    masks = [0, 0, 0, 0]
     steps = []
-    for i, role in enumerate(roles):
-        if role == 1:
-            x |= 1 << i
-            steps.append((s.labels[i], Op.DELETE))
-        elif role == 2:
-            y |= 1 << i
-            steps.append((s.labels[i], Op.CONTRACT))
-        elif role == 3:
-            z |= 1 << i
-            steps.append((s.labels[i], Op.PENROSE))
+    for i, lab in enumerate(s.labels):
+        role = rng.randrange(4)
+        masks[role] |= 1 << i
+        if role:
+            steps.append((lab, _ROLES[role]))
+    _, x, y, z = masks
     try:
         closed = s.three_minor(x, y, z)
     except UnrealizableMinorError:

@@ -34,7 +34,10 @@ is the recursion over LC orbits and vertex deletions that
 graphs.is_vertex_minor replaced by the three-operation minor walk.
 relabel_ref is the bit-by-bit relabeling that setsystem.labelings
 replaced by per-permutation image tables; it works on bitmasks, because
-the labelings it pins are the library's.
+the labelings it pins are the library's.  delete_ref and contract_ref
+are the two removals as they were before one removal rule replaced them,
+each falling back on the other at a coloop or a loop, and
+penrose_contract_ref builds on them and loop_complement_ref.
 """
 
 from __future__ import annotations
@@ -120,6 +123,32 @@ def minor_ref(ground, family, delete: frozenset, contract: frozenset):
     if not kept:
         return None
     return tuple(x for x in ground if x not in delete | contract), frozenset(kept)
+
+
+def delete_ref(system: SetSystem, e: str) -> SetSystem:
+    """S\\e on a proper system: the sets that avoid e; a coloop is
+    contracted instead."""
+    ground, family = to_sets(system)
+    kept = [f for f in family if e not in f]
+    if not kept:
+        return contract_ref(system, e)
+    return make([x for x in ground if x != e], kept)
+
+
+def contract_ref(system: SetSystem, e: str) -> SetSystem:
+    """S/e on a proper system: the sets through e, with e stripped; a loop
+    is deleted instead."""
+    ground, family = to_sets(system)
+    kept = [f - {e} for f in family if e in f]
+    if not kept:
+        return delete_ref(system, e)
+    return make([x for x in ground if x != e], kept)
+
+
+def penrose_contract_ref(system: SetSystem, e: str) -> SetSystem:
+    """Loop-complement at e, then contract e."""
+    ground, family = to_sets(system)
+    return contract_ref(make(ground, loop_complement_ref(ground, family, frozenset({e}))), e)
 
 
 def det_elimination_ref(entries) -> int:

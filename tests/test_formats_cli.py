@@ -444,6 +444,17 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_repeated_labels_are_named_by_their_whole(tmp_path, capsys):
+    for text, whole in (('{"labels":["1","1"],"rows":["00","00"]}', "matrix"),
+                        ('{"vertices":["a","a"],"edges":[],"loops":[]}', "graph")):
+        p = tmp_path / "repeated.json"
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse {p}: {whole} labels must be distinct\n"
+
+
 def test_verify_identities_cli(capsys):
     assert main(["verify", "identities"]) == 0
     out = capsys.readouterr().out

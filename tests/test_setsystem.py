@@ -4,6 +4,7 @@ import random
 import pytest
 
 from deltamatroids import catalog
+from deltamatroids.cli import _parse_ops
 from deltamatroids.duality import CatalogIndex
 from deltamatroids.gf2 import SymmetricBinaryMatrix
 from deltamatroids.graphs import LoopedSimpleGraph
@@ -19,9 +20,12 @@ from deltamatroids.setsystem import (
 
 from _helpers import all_proper, sysf
 from _reference import (
+    contract_ref,
+    delete_ref,
     family_of,
     loop_complement_ref,
     minor_ref,
+    penrose_contract_ref,
     relabel_ref,
     to_sets,
     twist_ref,
@@ -211,6 +215,34 @@ def test_penrose_examples():
     assert catalog.get("B4").penrose_contract("d") == catalog.get("B2")
 
 
+def _seeded_systems(count):
+    """Seeded proper systems on four to six elements; in every third the
+    last element is a loop, and in the one after it a coloop."""
+    for k in range(count):
+        rng = random.Random(k)
+        n = rng.randint(4, 6)
+        top = 1 << (n - 1)
+        masks = {rng.randrange(1 << n) for _ in range(rng.randint(1, 2 * n))}
+        if k % 3 == 1:
+            masks = {m & ~top for m in masks}
+        elif k % 3 == 2:
+            masks = {m | top for m in masks}
+        yield SetSystem(tuple("abcdef"[:n]), tuple(sorted(masks)))
+
+
+def test_removals_match_the_mutually_recursive_reference():
+    # every proper system on up to three elements and 200 seeded ones on
+    # four to six, at every element, loops and coloops included
+    seeded = list(_seeded_systems(200))
+    last = [s.classify_element(s.labels[-1]) for s in seeded]
+    assert last.count(ElementClass.LOOP) >= 66 and last.count(ElementClass.COLOOP) >= 66
+    for s in itertools.chain(*map(all_proper, range(1, 4)), seeded):
+        for e in s.labels:
+            assert s.delete(e) == delete_ref(s, e)
+            assert s.contract(e) == contract_ref(s, e)
+            assert s.penrose_contract(e) == penrose_contract_ref(s, e)
+
+
 def test_minor_closed_form():
     b1 = catalog.get("B1")
     assert b1.three_minor(b1.mask(["a"]), b1.mask(["b"]), 0) == sysf("c", "c")
@@ -266,18 +298,13 @@ def test_three_minor_requires_witness_and_disjointness():
 def test_three_minor_equals_any_operation_order_exhaustive_n2():
     for s in all_proper(2, "ab"):
         for assign in itertools.product(range(4), repeat=2):
-            x = y = z = 0
+            masks = [0, 0, 0, 0]
             steps = []
             for i, role in enumerate(assign):
-                token = (s.labels[i], (None, Op.DELETE, Op.CONTRACT, Op.PENROSE)[role])
-                if role == 1:
-                    x |= 1 << i
-                elif role == 2:
-                    y |= 1 << i
-                elif role == 3:
-                    z |= 1 << i
+                masks[role] |= 1 << i
                 if role:
-                    steps.append(token)
+                    steps.append((s.labels[i], (None, Op.DELETE, Op.CONTRACT, Op.PENROSE)[role]))
+            _, x, y, z = masks
             try:
                 closed = s.three_minor(x, y, z)
             except UnrealizableMinorError:
@@ -300,6 +327,29 @@ def test_apply_sequence_examples():
 def test_apply_sequence_missing_element():
     with pytest.raises(ValueError):
         S3.apply_sequence([("z", Op.TWIST)])
+
+
+# each operation as its method applies it, and the apply token naming it
+_OP_WIRING = {
+    Op.DELETE: (lambda s, e: s.delete(e), "del:{}"),
+    Op.CONTRACT: (lambda s, e: s.contract(e), "con:{}"),
+    Op.PENROSE: (lambda s, e: s.penrose_contract(e), "pen:{}"),
+    Op.TWIST: (lambda s, e: s.twist([e]), "*{}"),
+    Op.LOOP_COMPLEMENT: (lambda s, e: s.loop_complement([e]), "+{}"),
+}
+
+
+def test_every_op_is_applied_as_its_method_and_parsed_from_its_token():
+    assert set(_OP_WIRING) == set(Op)
+    systems = list(all_proper(2, "ab")) + [catalog.get(name) for name in ("B1", "T8", "S3")]
+    for op, (method, token) in _OP_WIRING.items():
+        for s in systems:
+            for e in s.labels:
+                assert s.apply_sequence([(e, op)]) == method(s, e)
+        assert _parse_ops([token.format("e1")]) == [("e1", op)]
+    for bad in ("del", "*", None, 0):
+        with pytest.raises(ValueError, match="unknown operation"):
+            S3.apply_sequence([("a", bad)])
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The verify suites' shared instance loop, their pinned stdout, their
 crash policy and their guards."""
 
+import hashlib
 import time
 
 import pytest
@@ -91,6 +92,23 @@ def test_a_crashing_interactions_case_prints_the_same_line_every_run(monkeypatch
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("FAIL interactions(trials=3, seed=7): 3 instances, 3 failures\n")
     assert " at 0x" not in outputs[0]
+
+
+# the report of verify_interactions(trials=20) with penrose_contract
+# monkeypatched to delete, recorded while the interaction table spelled out
+# its six bases and the role loop was an if/elif chain over the operations:
+# 13 cases fail the 9 table cells that need penrose contraction, 4 of them
+# also a witnessed order that penrose-contracts (twice each)
+PENROSE_AS_DELETE_SHA256 = "df3d5f7f1282d3bbca122b0345b353fef42c72a2f9f179942dabd86d37733b9d"
+
+
+def test_interactions_failure_lines_when_penrose_is_delete(monkeypatch):
+    monkeypatch.setattr(SetSystem, "penrose_contract", SetSystem.delete)
+    lines = verify.verify_interactions(trials=20).lines()
+    assert lines[0] == "FAIL interactions(trials=20, seed=7): 20 instances, 125 failures"
+    assert sum(" | expected table row " in line for line in lines) == 13 * 9
+    assert sum(" | expected order-independent minor " in line for line in lines) == 4 * 2
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PENROSE_AS_DELETE_SHA256
 
 
 @pytest.mark.parametrize("argv", [
