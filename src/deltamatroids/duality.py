@@ -102,25 +102,25 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
 
 
 # vf-safety is constant on a twisted-duality class, so one closure
-# answers the question for every member at once.
-_vf_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
+# answers the question for every member at once.  Each labeled state is
+# keyed by one small int, indicator(feasible) << 4 | n, rather than by its
+# feasible tuple: n <= ORBIT_GUARD < 16, so the key is injective.
+_vf_cache: dict[int, bool] = {}
 
 
 def is_vf_safe(system: SetSystem) -> bool:
     """Every twisted dual (the system included) satisfies symmetric exchange."""
     if not system.is_proper:
         raise ValueError("vf-safety requires a proper system")
-    key = (system.size, system.feasible)
-    hit = _vf_cache.get(key)
+    _refuse_over_guard(system)  # before the key: an indicator has 2^n bits
+    n = system.size
+    hit = _vf_cache.get(indicator(system.feasible) << 4 | n)
     if hit is not None:
         return hit
     states = _labeled_closure(system)
     safe = all(is_delta_matroid_cached(s) for s in states.values())
-    n = system.size
-    # s.feasible, not the dict's keys: a comprehension keeps the first of
-    # equal keys, a tuple that only the dict would otherwise hold
-    for s in states.values():
-        _vf_cache[(n, s.feasible)] = safe
+    for feasible in states:
+        _vf_cache[indicator(feasible) << 4 | n] = safe
     return safe
 
 

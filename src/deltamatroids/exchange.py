@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .setsystem import SetSystem
+from .setsystem import SetSystem, indicator
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,14 @@ def is_delta_matroid(system: SetSystem) -> bool:
     return check_symmetric_exchange(system) is None
 
 
-# Family-keyed cache: the axiom depends only on the feasible masks.
-_se_cache: dict[tuple[int, ...], bool] = {}
+# Family-keyed cache: the axiom depends only on the feasible masks, so
+# the key is the family's indicator, one int, whatever the ground set.
+# Its caller, is_vf_safe, stays under ORBIT_GUARD, where the int is small.
+_se_cache: dict[int, bool] = {}
 
 
 def is_delta_matroid_cached(system: SetSystem) -> bool:
-    key = system.feasible
+    key = indicator(system.feasible)
     hit = _se_cache.get(key)
     if hit is None:
         hit = check_symmetric_exchange(system) is None

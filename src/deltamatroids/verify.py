@@ -102,9 +102,17 @@ def _refuse_over(max_n: int, guard: int, what: str) -> None:
 
 
 def _all_proper_systems(n: int) -> Iterable[SetSystem]:
+    """Every proper system on the first n labels, by increasing indicator.
+
+    Each family is joined from the feasible masks named by the low and the
+    high byte of its indicator, which has at most 16 bits (n <=
+    EXHAUSTIVE_GUARD = 4).
+    """
     labels = tuple("abcdefgh"[:n])
+    low = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+    high = [tuple(i + 8 for i in masks) for masks in low]
     for bits in range(1, 1 << (1 << n)):
-        yield SetSystem(labels, tuple(i for i in range(1 << n) if bits >> i & 1))
+        yield SetSystem(labels, low[bits & 255] + high[bits >> 8])
 
 
 def _random_proper_system(rng: random.Random, max_n: int) -> SetSystem:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from deltamatroids import catalog
+from deltamatroids import catalog, duality, exchange, setsystem
 from deltamatroids.duality import (
     CatalogIndex,
     dual_pivot,
@@ -13,9 +13,17 @@ from deltamatroids.duality import (
     twisted_duals_wrt,
 )
 from deltamatroids.setsystem import SetSystem, canonical_key
+from deltamatroids.verify import verify_main_theorem
 
 from _helpers import all_proper, sysf
-from _reference import family_of, loop_complement_ref, orbit_up_to_iso_ref, to_sets, twist_ref
+from _reference import (
+    family_of,
+    loop_complement_ref,
+    orbit_up_to_iso_ref,
+    symmetric_exchange_ref,
+    to_sets,
+    twist_ref,
+)
 
 
 def random_proper(rng, max_n, min_n=1):
@@ -140,6 +148,57 @@ def test_vf_safe_examples():
     assert is_vf_safe(catalog.get("B1"))
     assert is_vf_safe(sysf("a", ""))
     assert not is_vf_safe(catalog.get("S3"))
+
+
+@pytest.fixture
+def empty_vf_caches(monkeypatch):
+    """Empty vf-safety and symmetric-exchange caches for one test."""
+    monkeypatch.setattr(duality, "_vf_cache", {})
+    monkeypatch.setattr(exchange, "_se_cache", {})
+
+
+def test_vf_safe_caches_agree_with_the_definitional_closure(empty_vf_caches):
+    """From empty caches, is_vf_safe is symmetric exchange on every member
+    of the definitional closure, on every proper system with at most 3
+    elements and on 200 seeded 4-element systems; both caches hold ints."""
+    rng = random.Random(34)
+    systems = [s for n in range(4) for s in all_proper(n, "abc")]
+    systems += [random_proper(rng, 4, min_n=4) for _ in range(200)]
+    verdicts = {}  # (n, family) -> the class's verdict, one closure per class
+    for s in systems:
+        key = (s.size, family_of(s))
+        if key not in verdicts:
+            closure = _closure_ref(s)
+            safe = all(symmetric_exchange_ref(fam) for fam in closure)
+            verdicts.update(((s.size, fam), safe) for fam in closure)
+        assert is_vf_safe(s) == verdicts[key], str(s)
+    for cache in (duality._vf_cache, exchange._se_cache):
+        assert cache and all(type(k) is int for k in cache)
+
+
+def test_vf_cache_holds_one_entry_per_labeled_state(empty_vf_caches):
+    """main-theorem on 3 elements fills one entry per proper system, and
+    the same family on 3 and on 4 elements gets two entries."""
+    assert verify_main_theorem(3).passed
+    assert len(duality._vf_cache) == 255
+    duality._vf_cache.clear()
+    on3 = SetSystem(tuple("abc"), (0,))
+    on4 = SetSystem(tuple("abcd"), (0,))
+    assert is_vf_safe(on3) and is_vf_safe(on4)
+    assert len(duality._vf_cache) == orbit(on3).size + orbit(on4).size
+
+
+def test_vf_safe_guard_comes_before_the_key(monkeypatch):
+    """A ground set over ORBIT_GUARD is refused before its indicator, whose
+    2^n bits the cache key would need, or any twist is built."""
+    def no_work(*args):
+        raise AssertionError("work before the guard")
+
+    for module in (setsystem, duality, exchange):
+        monkeypatch.setattr(module, "indicator", no_work)
+    monkeypatch.setattr(SetSystem, "twist", no_work)
+    with pytest.raises(ValueError, match="orbit guard: ground sets over 8 elements"):
+        is_vf_safe(SetSystem(tuple(f"x{i}" for i in range(9)), (0,)))
 
 
 def test_all_28_obstructions_fail_vf_safety():

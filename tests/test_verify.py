@@ -2,6 +2,7 @@
 crash policy and their guards."""
 
 import hashlib
+import inspect
 import time
 
 import pytest
@@ -194,3 +195,20 @@ def test_circle_obstruction_recheck_catches_a_non_minimal_graph(monkeypatch):
     assert not report.passed
     assert any(exp.startswith("deletion of ") and got == "not circle"
                for _, exp, got in report.failures)
+
+
+def test_all_proper_systems_is_the_indicator_walk():
+    """The byte-table generator yields the families of the per-bit
+    expression, in the same order: equal for n <= 3, and for n = 4 the
+    sha256 of every feasible tuple recorded from that expression."""
+    for n in range(4):
+        expected = [tuple(i for i in range(1 << n) if bits >> i & 1)
+                    for bits in range(1, 1 << (1 << n))]
+        assert [s.feasible for s in verify._all_proper_systems(n)] == expected
+    systems = verify._all_proper_systems(4)
+    assert inspect.isgenerator(systems)
+    digest = hashlib.sha256()
+    for s in systems:
+        assert s.labels == tuple("abcd")
+        digest.update(repr(s.feasible).encode() + b"\n")
+    assert digest.hexdigest() == "df7bca10736844e9c079864ef5ab14702f9d604853c52e5a39c6424034994251"
