@@ -63,13 +63,12 @@ def _refuse_over_guard(system: SetSystem) -> None:
 
 def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
     """Every labeled twisted dual, keyed by its feasible tuple: the one
-    closure behind orbit in both modes and is_vf_safe.
-
-    Twists and loop complementations at different elements commute, and
-    at one element they generate the six words of twisted_duals_wrt, so
-    the closure is one pass of those six words per element.
+    closure behind orbit in both modes and is_vf_safe, which both refuse
+    a ground set over ORBIT_GUARD first.  Twists and loop complementations
+    at different elements commute, and at one element they generate the
+    six words of twisted_duals_wrt, so the closure is one pass of those
+    six words per element.
     """
-    _refuse_over_guard(system)
     states = {system.feasible: system}
     for i in range(system.size):
         states = {d.feasible: d for s in states.values() for d in twisted_duals_wrt(s, 1 << i)}
@@ -102,9 +101,9 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
 
 
 # vf-safety is constant on a twisted-duality class, so one closure
-# answers the question for every member at once.  Each labeled state is
-# keyed by one small int, indicator(feasible) << 4 | n, rather than by its
-# feasible tuple: n <= ORBIT_GUARD < 16, so the key is injective.
+# answers for every member at once.  The key is the family's indicator
+# alone, not n: each twisted dual of S + loop is a twisted dual of S plus
+# a loop, coloop or free element; a direct sum has exchange iff both parts do.
 _vf_cache: dict[int, bool] = {}
 
 
@@ -113,14 +112,14 @@ def is_vf_safe(system: SetSystem) -> bool:
     if not system.is_proper:
         raise ValueError("vf-safety requires a proper system")
     _refuse_over_guard(system)  # before the key: an indicator has 2^n bits
-    n = system.size
-    hit = _vf_cache.get(indicator(system.feasible) << 4 | n)
+    hit = _vf_cache.get(indicator(system.feasible))
     if hit is not None:
         return hit
     states = _labeled_closure(system)
-    safe = all(is_delta_matroid_cached(s) for s in states.values())
+    # normal members suffice: S * min(S) is one, and twisting keeps exchange
+    safe = all(is_delta_matroid_cached(s) for feasible, s in states.items() if not feasible[0])
     for feasible in states:
-        _vf_cache[indicator(feasible) << 4 | n] = safe
+        _vf_cache[indicator(feasible)] = safe
     return safe
 
 
@@ -142,12 +141,12 @@ class CatalogIndex:
     """Catalog entries prepared once for matching three-operation minors.
 
     keys maps each canonical key to the first entry index carrying it.
-    table(n, kept) maps the indicator of every labeling of every entry
-    with |kept| elements, placed on the kept positions of an n-element
-    ground set, to the first entry index of its class, so a minor's
-    indicator from SetSystem.iter_three_minors is matched without
-    canonicalizing it. Each value starts as None and is filled from keys
-    on the indicator's first hit in find_catalog_3_minor.
+    table(kept) maps the indicator of every labeling of every entry with
+    |kept| elements, placed on the kept positions (whatever the ground
+    size), to the first entry index of its class, so a minor's indicator
+    from SetSystem.iter_three_minors is matched without canonicalizing
+    it. Each value starts as None and is filled from keys on the
+    indicator's first hit in find_catalog_3_minor.
     """
 
     def __init__(self, entries: Sequence[SetSystem]) -> None:
@@ -157,19 +156,19 @@ class CatalogIndex:
             self.keys.setdefault(canonical_key(e), i)
             self.labelings.setdefault(e.size, set()).update(labelings(e.feasible, e.size))
         self.sizes = frozenset(self.labelings)
-        self._tables: dict[tuple[int, int], dict[int, int | None]] = {}
+        self._tables: dict[int, dict[int, int | None]] = {}
 
-    def table(self, n: int, kept: int) -> dict[int, int | None]:
-        hit = self._tables.get((n, kept))
+    def table(self, kept: int) -> dict[int, int | None]:
+        hit = self._tables.get(kept)
         if hit is not None:
             return hit
-        positions = [i for i in range(n) if kept >> i & 1]
+        positions = [i for i in range(kept.bit_length()) if kept >> i & 1]
         spread = subset_images(positions)
         table = dict.fromkeys(
             indicator(spread[m] for m in feasible)
             for feasible in self.labelings.get(len(positions), ())
         )
-        self._tables[(n, kept)] = table
+        self._tables[kept] = table
         return table
 
 
@@ -186,10 +185,9 @@ def find_catalog_3_minor(system: SetSystem, index: CatalogIndex) -> MinorMatch |
     """
     if not system.is_proper:
         raise ValueError("requires a proper system")
-    n = system.size
     full = system.full_mask
     for x, y, z, leaf in system.iter_three_minors(index.sizes):
-        table = index.table(n, full & ~(x | y | z))
+        table = index.table(full & ~(x | y | z))
         if leaf in table:
             idx = table[leaf]
             if idx is None:

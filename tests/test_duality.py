@@ -157,6 +157,17 @@ def empty_vf_caches(monkeypatch):
     monkeypatch.setattr(exchange, "_se_cache", {})
 
 
+def _vf_safe_ref(s, verdicts):
+    """Symmetric exchange on every member of the definitional closure;
+    verdicts maps (n, family) to its class's verdict, one closure per class."""
+    key = (s.size, family_of(s))
+    if key not in verdicts:
+        closure = _closure_ref(s)
+        safe = all(symmetric_exchange_ref(fam) for fam in closure)
+        verdicts.update(((s.size, fam), safe) for fam in closure)
+    return verdicts[key]
+
+
 def test_vf_safe_caches_agree_with_the_definitional_closure(empty_vf_caches):
     """From empty caches, is_vf_safe is symmetric exchange on every member
     of the definitional closure, on every proper system with at most 3
@@ -164,28 +175,59 @@ def test_vf_safe_caches_agree_with_the_definitional_closure(empty_vf_caches):
     rng = random.Random(34)
     systems = [s for n in range(4) for s in all_proper(n, "abc")]
     systems += [random_proper(rng, 4, min_n=4) for _ in range(200)]
-    verdicts = {}  # (n, family) -> the class's verdict, one closure per class
+    verdicts = {}
     for s in systems:
-        key = (s.size, family_of(s))
-        if key not in verdicts:
-            closure = _closure_ref(s)
-            safe = all(symmetric_exchange_ref(fam) for fam in closure)
-            verdicts.update(((s.size, fam), safe) for fam in closure)
-        assert is_vf_safe(s) == verdicts[key], str(s)
+        assert is_vf_safe(s) == _vf_safe_ref(s, verdicts), str(s)
     for cache in (duality._vf_cache, exchange._se_cache):
         assert cache and all(type(k) is int for k in cache)
 
 
-def test_vf_cache_holds_one_entry_per_labeled_state(empty_vf_caches):
+def test_vf_cache_is_keyed_by_the_family_alone(empty_vf_caches):
     """main-theorem on 3 elements fills one entry per proper system, and
-    the same family on 3 and on 4 elements gets two entries."""
+    the same family on 4 elements adds no entry and gets the same verdict."""
     assert verify_main_theorem(3).passed
     assert len(duality._vf_cache) == 255
     duality._vf_cache.clear()
     on3 = SetSystem(tuple("abc"), (0,))
-    on4 = SetSystem(tuple("abcd"), (0,))
-    assert is_vf_safe(on3) and is_vf_safe(on4)
-    assert len(duality._vf_cache) == orbit(on3).size + orbit(on4).size
+    assert is_vf_safe(on3)
+    filled = dict(duality._vf_cache)
+    assert len(filled) == orbit(on3).size
+    assert is_vf_safe(SetSystem(tuple("abcd"), (0,)))
+    assert duality._vf_cache == filled
+
+
+def test_vf_safe_with_a_loop_label_agrees_with_each_ground_set(empty_vf_caches):
+    """For every proper S on at most 3 elements and S with one more label
+    (the same masks), either query order from empty caches gives each
+    system the verdict of its own definitional closure."""
+    verdicts = {}
+    for s in (s for n in range(4) for s in all_proper(n, "abc")):
+        wider = SetSystem(tuple("abcd"[:s.size + 1]), s.feasible)
+        for pair in ((s, wider), (wider, s)):
+            duality._vf_cache.clear()
+            exchange._se_cache.clear()
+            for t in pair:
+                assert is_vf_safe(t) == _vf_safe_ref(t, verdicts), str(t)
+
+
+def test_vf_safe_checks_exchange_on_normal_members_only(monkeypatch, empty_vf_caches):
+    """From empty caches, is_vf_safe checks exchange only on families with
+    the empty set feasible, on every one of them for the vf-safe B1, and
+    D3, S3 and B1 keep their verdicts."""
+    checked = []
+    cached = duality.is_delta_matroid_cached
+
+    def recorded(system):
+        checked.append(system.feasible)
+        return cached(system)
+
+    monkeypatch.setattr(duality, "is_delta_matroid_cached", recorded)
+    assert not is_vf_safe(catalog.get("D3")) and not is_vf_safe(catalog.get("S3"))
+    assert checked and all(f[0] == 0 for f in checked)
+    checked.clear()
+    b1 = catalog.get("B1")
+    assert is_vf_safe(b1)
+    assert sorted(checked) == [m.feasible for m in orbit(b1).members if m.feasible[0] == 0]
 
 
 def test_vf_safe_guard_comes_before_the_key(monkeypatch):

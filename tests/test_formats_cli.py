@@ -355,17 +355,24 @@ def _check_queries_pool():
 def test_check_vf_safe_line_is_the_obstruction_walk(tmp_path, capsys):
     """check answers vf-safe from `binary: yes` without walking the minors;
     on every catalog entry up to the vf guard and every check-queries
-    input, its line is the walk's verdict."""
-    refs = [f"catalog:{name}" for name in catalog.names() if catalog.get(name).size <= 12]
+    input, its line is the walk's verdict, and each check-queries output
+    has the digest recorded in perfbench/query_digests.json."""
+    digests_path = Path(__file__).resolve().parents[1] / "perfbench" / "query_digests.json"
+    expected = json.loads(digests_path.read_text())["digests"]
+    refs = {f"catalog:{name}": None for name in catalog.names() if catalog.get(name).size <= 12}
     for name, text in _check_queries_pool():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
-        refs.append(str(path))
-    assert len(refs) == 21 + 540
+        refs[str(path)] = expected[name]
+    assert len(refs) == 21 + 540 and len(expected) == 540
     seen = set()
-    for ref in refs:
-        assert main(["check", ref]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    for ref, digest in refs.items():
+        rc = main(["check", ref])
+        assert rc == 0
+        out = capsys.readouterr().out
+        if digest is not None:
+            assert hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest() == digest, ref
+        lines = out.splitlines()
         system = cli._load_system(ref)
         if not system.is_proper:
             assert not any(line.startswith("vf-safe:") for line in lines), ref

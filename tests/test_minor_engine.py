@@ -210,8 +210,9 @@ def test_a_hit_reports_the_first_isomorphic_entry():
 
 
 def test_each_distinct_leaf_forms_its_minor_once(monkeypatch):
-    """On one shared index a hit calls three_minor only for a (n, kept,
-    leaf) it has not seen; later hits of that leaf are a dict lookup."""
+    """On one shared index a hit calls three_minor only for a (kept, leaf)
+    it has not seen, whatever the ground size; later hits of that leaf are
+    a dict lookup."""
     index = CatalogIndex(catalog.s3_twisted_duals())
     systems = list(proper_systems(3)) + seeded_systems(13, (4,), 40)
     calls = 0
@@ -223,12 +224,28 @@ def test_each_distinct_leaf_forms_its_minor_once(monkeypatch):
         return three_minor(self, *masks)
 
     monkeypatch.setattr(SetSystem, "three_minor", counted)
-    triples, hits = set(), 0
+    pairs, hits = set(), 0
     for s in systems:
         match = find_catalog_3_minor(s, index)
         if match is not None:
             x, y, z = match.delete_mask, match.contract_mask, match.penrose_mask
             leaf = next(w[3] for w in s.iter_three_minors() if w[:3] == (x, y, z))
-            triples.add((s.size, s.full_mask & ~(x | y | z), leaf))
+            pairs.add((s.full_mask & ~(x | y | z), leaf))
             hits += 1
-    assert 1 <= calls <= len(triples) < hits
+    assert 1 <= calls <= len(pairs) < hits
+
+
+def test_one_table_per_kept_mask_serves_every_ground_size():
+    """One S3-dual index shared over every proper system on at most 3
+    elements and 200 seeded 4-element ones builds a table only for each
+    3-element kept mask of 4 bits, and finds the witnesses that a fresh
+    index per system finds."""
+    entries = catalog.s3_twisted_duals()
+    rng = random.Random(35)
+    systems = [s for n in range(4) for s in proper_systems(n)]
+    systems += [random_family(rng, 4, 0.5) for _ in range(200)]
+    shared = CatalogIndex(entries)
+    found = [find_catalog_3_minor(s, shared) for s in systems]
+    assert found == [find_catalog_3_minor(s, CatalogIndex(entries)) for s in systems]
+    assert None in found and any(found)
+    assert set(shared._tables) == {0b0111, 0b1011, 0b1101, 0b1110}
