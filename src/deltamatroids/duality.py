@@ -12,6 +12,7 @@ from .setsystem import (
     MAX_CANON,
     SetSystem,
     SubsetLike,
+    _walk_plan,
     canonical_key,
     indicator,
     labelings,
@@ -61,17 +62,16 @@ def _refuse_over_guard(system: SetSystem) -> None:
         raise ValueError(f"orbit guard: ground sets over {ORBIT_GUARD} elements")
 
 
-def _labeled_closure(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
-    """Every labeled twisted dual, keyed by its feasible tuple: the one
-    closure behind orbit in both modes and is_vf_safe, which both refuse
-    a ground set over ORBIT_GUARD first.  Twists and loop complementations
-    at different elements commute, and at one element they generate the
-    six words of twisted_duals_wrt, so the closure is one pass of those
-    six words per element.
-    """
-    states = {system.feasible: system}
-    for i in range(system.size):
-        states = {d.feasible: d for s in states.values() for d in twisted_duals_wrt(s, 1 << i)}
+def _folded_states(system: SetSystem) -> list[SetSystem]:
+    """The fold of S, S + i and (S * i) + i over each element i: the six
+    words of twisted_duals_wrt at i are {w, w * i} for those three, and
+    operations at different elements commute, so the twists of these at
+    most 3^n states are the labeled closure behind orbit and is_vf_safe,
+    which both refuse a ground set over ORBIT_GUARD first."""
+    states = [system]
+    for bit in (1 << i for i in range(system.size)):
+        words = (w for s in states for w in (s, s.loop_complement(bit), s.twist(bit).loop_complement(bit)))
+        states = list({w.feasible: w for w in words}.values())
     return states
 
 
@@ -85,9 +85,12 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
     _refuse_over_guard(system)
     if up_to_iso and system.size > MAX_CANON:
         raise ValueError(f"orbit guard: ground sets over {MAX_CANON} elements up to isomorphism")
-    states = _labeled_closure(system)
+    n = system.size
+    states = {}
+    for s in _folded_states(system):
+        if s.feasible not in states:  # else its whole twist class is in
+            states.update((t.feasible, t) for t in map(s.twist, range(1 << n)) if t.feasible not in states)
     if up_to_iso:
-        n = system.size
         positional = tuple(str(i) for i in range(n))
         classes = {}
         while states:
@@ -112,15 +115,14 @@ def is_vf_safe(system: SetSystem) -> bool:
     if not system.is_proper:
         raise ValueError("vf-safety requires a proper system")
     _refuse_over_guard(system)  # before the key: an indicator has 2^n bits
-    hit = _vf_cache.get(indicator(system.feasible))
-    if hit is not None:
-        return hit
-    states = _labeled_closure(system)
-    # normal members suffice: S * min(S) is one, and twisting keeps exchange
-    safe = all(is_delta_matroid_cached(s) for feasible, s in states.items() if not feasible[0])
-    for feasible in states:
-        _vf_cache[indicator(feasible)] = safe
-    return safe
+    key = indicator(system.feasible)
+    if key not in _vf_cache:
+        states = _folded_states(system)  # twisting keeps exchange, so the states decide
+        members = {indicator(s.feasible) for s in states}
+        for i, m in enumerate(_walk_plan(system.size, None)[0]):  # the twist at i swaps two halves
+            members |= {(v & m) << (1 << i) | (v >> (1 << i)) & m for v in members}
+        _vf_cache.update(dict.fromkeys(members, all(map(is_delta_matroid_cached, states))))
+    return _vf_cache[key]
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,12 @@ is_ribbon_graphic_ref are the ribbon-graphic path that builds every
 minor with three_minor, twists it onto its least feasible set and
 reconstructs its matrix, against which the graph read off each leaf is
 checked.  orbit_up_to_iso_ref canonicalizes every labeled member of the
-closure, against which the class sweep is checked.  is_vertex_minor_ref
-is the recursion over LC orbits and vertex deletions that
-graphs.is_vertex_minor replaced by the three-operation minor walk.
+closure, against which the class sweep is checked.  labeled_closure_ref
+is the labeled closure as one pass of the six words of twisted_duals_wrt
+per element, against which the fold of three words and its twist classes
+behind orbit are checked.  is_vertex_minor_ref is the recursion over
+LC orbits and vertex deletions that graphs.is_vertex_minor replaced by
+the three-operation minor walk.
 relabel_ref is the bit-by-bit relabeling that setsystem.labelings
 replaced by per-permutation image tables; it works on bitmasks, because
 the labelings it pins are the library's.  delete_ref and contract_ref
@@ -46,7 +49,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from deltamatroids.duality import orbit
+from deltamatroids.duality import orbit, twisted_duals_wrt
 from deltamatroids.gf2 import is_binary, reconstruct_basic_matrix
 from deltamatroids.graphs import (
     VERTEX_MINOR_GUARD,
@@ -475,6 +478,17 @@ def orbit_up_to_iso_ref(system: SetSystem) -> tuple:
     """The canonical forms of the labeled closure's members, sorted."""
     forms = {m.canonical_form() for m in orbit(system).members}
     return tuple(sorted(forms, key=lambda m: m.feasible))
+
+
+def labeled_closure_ref(system: SetSystem) -> dict[tuple[int, ...], SetSystem]:
+    """Every labeled twisted dual, keyed by its feasible tuple: twists and
+    loop complementations at different elements commute, and at one
+    element they generate the six words of twisted_duals_wrt, so the
+    closure is one pass of those six words per element."""
+    states = {system.feasible: system}
+    for i in range(system.size):
+        states = {d.feasible: d for s in states.values() for d in twisted_duals_wrt(s, 1 << i)}
+    return states
 
 
 def is_vertex_minor_ref(graph: LoopedSimpleGraph, target: LoopedSimpleGraph) -> bool:

@@ -12,12 +12,13 @@ from deltamatroids.duality import (
     orbit,
     twisted_duals_wrt,
 )
-from deltamatroids.setsystem import SetSystem, canonical_key
+from deltamatroids.setsystem import SetSystem, canonical_key, indicator
 from deltamatroids.verify import verify_main_theorem
 
 from _helpers import all_proper, sysf
 from _reference import (
     family_of,
+    labeled_closure_ref,
     loop_complement_ref,
     orbit_up_to_iso_ref,
     symmetric_exchange_ref,
@@ -210,10 +211,39 @@ def test_vf_safe_with_a_loop_label_agrees_with_each_ground_set(empty_vf_caches):
                 assert is_vf_safe(t) == _vf_safe_ref(t, verdicts), str(t)
 
 
-def test_vf_safe_checks_exchange_on_normal_members_only(monkeypatch, empty_vf_caches):
-    """From empty caches, is_vf_safe checks exchange only on families with
-    the empty set feasible, on every one of them for the vf-safe B1, and
-    D3, S3 and B1 keep their verdicts."""
+def test_orbit_and_vf_cache_hold_the_six_word_closure(empty_vf_caches):
+    """orbit's members, in order, and the _vf_cache entries one is_vf_safe
+    call adds are the six-word closure of twisted_duals_wrt, on every
+    proper system with at most 3 elements and seeded 4-, 5- and 6-element
+    systems."""
+    rng = random.Random(36)
+    systems = [s for n in range(4) for s in all_proper(n, "abc")]
+    systems += [random_proper(rng, n, min_n=n) for n, count in ((4, 40), (5, 6), (6, 2)) for _ in range(count)]
+    for s in systems:
+        closure = labeled_closure_ref(s)
+        assert orbit(s).members == tuple(closure[f] for f in sorted(closure)), str(s)
+        duality._vf_cache.clear()
+        is_vf_safe(s)
+        assert set(duality._vf_cache) == {indicator(f) for f in closure}, str(s)
+
+
+def _fold_ref(system):
+    """The families of the fold of S, S + i and (S * i) + i over each
+    element i, by definition on frozensets."""
+    ground, family = to_sets(system)
+    states = {family}
+    for e in ground:
+        a = frozenset([e])
+        states = {w for f in states for w in
+                  (f, loop_complement_ref(ground, f, a), loop_complement_ref(ground, twist_ref(f, a), a))}
+    return states
+
+
+def test_vf_safe_checks_exchange_on_the_folded_states(monkeypatch, empty_vf_caches):
+    """From an empty vf cache, one closure checks exchange on at most 3^n
+    distinct families, on every proper system with at most 3 elements and
+    seeded 4-element ones; for the vf-safe B1 they are exactly the fold's
+    states, and D3, S3 and B1 keep their verdicts."""
     checked = []
     cached = duality.is_delta_matroid_cached
 
@@ -222,12 +252,21 @@ def test_vf_safe_checks_exchange_on_normal_members_only(monkeypatch, empty_vf_ca
         return cached(system)
 
     monkeypatch.setattr(duality, "is_delta_matroid_cached", recorded)
+    rng = random.Random(37)
+    systems = [s for n in range(4) for s in all_proper(n, "abc")]
+    systems += [random_proper(rng, 4, min_n=4) for _ in range(60)]
+    for s in systems:
+        duality._vf_cache.clear()
+        checked.clear()
+        is_vf_safe(s)
+        assert checked and len(set(checked)) <= 3 ** s.size, str(s)
+    duality._vf_cache.clear()
     assert not is_vf_safe(catalog.get("D3")) and not is_vf_safe(catalog.get("S3"))
-    assert checked and all(f[0] == 0 for f in checked)
     checked.clear()
     b1 = catalog.get("B1")
     assert is_vf_safe(b1)
-    assert sorted(checked) == [m.feasible for m in orbit(b1).members if m.feasible[0] == 0]
+    assert len(checked) == len(set(checked))
+    assert {family_of(SetSystem(b1.labels, f)) for f in checked} == _fold_ref(b1)
 
 
 def test_vf_safe_guard_comes_before_the_key(monkeypatch):

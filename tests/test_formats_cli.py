@@ -427,6 +427,7 @@ _ORBIT_DIGESTS = {
     ("catalog:T8", "--labeled"): "ef3019be6f9daff715d87ecc812a40b97e8a4f020b5b19af25af13641d9275c1",
     ("catalog:B4",): "a37cb6147d6430f85b927c546f050204d8dd32f2f9e2014c89cc06256d52a3ae",
     ("catalog:B4", "--labeled"): "72a9948bc8f3a92f4ee42e1e2520436224e5effea3eddd18ce416067b7269100",
+    ("catalog:S6",): "06a5645014149c2b4d670b92c3159d425d2bed738887288a22d8a99f38dea4e4",
 }
 
 
