@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 from . import catalog
@@ -121,7 +122,7 @@ def is_vf_safe(system: SetSystem) -> bool:
         members = {indicator(s.feasible) for s in states}
         for i, m in enumerate(_walk_plan(system.size, None)[0]):  # the twist at i swaps two halves
             members |= {(v & m) << (1 << i) | (v >> (1 << i)) & m for v in members}
-        _vf_cache.update(dict.fromkeys(members, all(map(is_delta_matroid_cached, states))))
+        _vf_cache.update(zip(members, repeat(all(map(is_delta_matroid_cached, states)))))
     return _vf_cache[key]
 
 

@@ -151,7 +151,12 @@ class LoopedSimpleGraph(LabeledBits):
 # canonical labeling
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
+def _refine(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], int]:
+    """Colour refinement to the coarsest equitable partition below colors,
+    as dense ranks of (colour, sorted neighbour colours), and its cell
+    count.  A round that splits no cell reaches it, and so does a
+    discrete partition, as no later round can split a cell."""
+    cells = len(set(colors))
     while True:
         sig = []
         for v in range(n):
@@ -164,10 +169,10 @@ def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
             nb.sort()
             sig.append((colors[v], tuple(nb)))
         remap = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [remap[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
+        colors = [remap[s] for s in sig]
+        if len(remap) in (cells, n):
+            return colors, len(remap)
+        cells = len(remap)
 
 
 def _homogeneous(cell: Sequence[int], adj: Sequence[int], cellmask: int) -> bool:
@@ -187,11 +192,12 @@ _graph_canon_cache: dict[tuple, GraphKey] = {}
 
 def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
     """_canon_key_raw, memoized for lc_orbit_keys, the one-vertex
-    deletions that find_circle_obstructions decides and the leaf
-    graphs of _has_minor_in that pass the degree filter, which revisit
-    labeled graphs (679 of 6 271 and 67 of 134 lookups hit in
-    verify_circle_obstructions(7), 780 of 2 613 leaf lookups on every
-    tenth connected 8-vertex graph)."""
+    deletions that is_circle_graph and find_circle_obstructions decide
+    and the leaf graphs of _has_minor_in that pass the degree filter,
+    which revisit labeled graphs (in verify_circle_obstructions(7), 103
+    of 1 529 walk lookups and 675 of 1 151 circle lookups hit; on every
+    tenth connected 8-vertex graph, 1 126 of 2 867 leaf lookups hit
+    after the circle side)."""
     cache_key = (graph.size, graph.adj, graph.loops)
     hit = _graph_canon_cache.get(cache_key)
     if hit is None:
@@ -224,7 +230,10 @@ def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
             best = key
 
     def rec(colors: list[int]) -> None:
-        colors = _refine(n, adj, colors)
+        colors, count = _refine(n, adj, colors)
+        if count == n:
+            leaf(colors)
+            return
         cells: dict[int, list[int]] = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
@@ -430,18 +439,44 @@ def _refuse_circle_input(graph: LoopedSimpleGraph) -> None:
 _circle_cache: dict[GraphKey, bool] = {}
 
 
+def _spare_vertex(adj: Sequence[int]) -> int | None:
+    """The first vertex that is pendant or the higher of two twins u < v
+    (adj[u] - {v} == adj[v] - {u}), or None."""
+    for v, row in enumerate(adj):
+        if row.bit_count() == 1 or any(adj[u] & ~(1 << v) == row & ~(1 << u) for u in range(v)):
+            return v
+    return None
+
+
 def is_circle_graph(graph: LoopedSimpleGraph) -> bool:
     """Is the graph the interlacement graph of some chord diagram?
 
-    One exhaustive _circle_word_search per canonical key, on the key's
-    own labeling.
+    Decided once per canonical key, on the key's own labeling, by the
+    first rule that applies:
+
+    (a) With a spare vertex v (_spare_vertex), the graph is circle iff
+        the graph without v is: a diagram of the deletion extends, as a
+        pendant chord v on u goes in as v u v around one end of u, and
+        a twin's chord is laid along its twin's, crossing it when the
+        twins are adjacent.
+    (b) A non-circle one-vertex deletion makes the graph non-circle.
+    (c) Otherwise the exhaustive _circle_word_search decides.
+
+    Both rules rest on deleting a chord realizing a vertex deletion,
+    not on the obstruction theorem.  The deletions recurse through this
+    function, so their verdicts are cached by key too.
     """
     _refuse_circle_input(graph)
     key = graph_canonical_key(graph)
     hit = _circle_cache.get(key)
     if hit is None:
         rep = graph_from_key(key)
-        hit = _circle_word_search(rep.size, rep.adj) is not None
+        spare = _spare_vertex(rep.adj)
+        if spare is not None:
+            hit = is_circle_graph(rep.delete_vertex(rep.labels[spare]))
+        else:
+            hit = (all(is_circle_graph(rep.delete_vertex(v)) for v in rep.labels)
+                   and _circle_word_search(rep.size, rep.adj) is not None)
         _circle_cache[key] = hit
     return hit
 
@@ -507,12 +542,21 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
     one representative per local-complementation class.
 
     Only connected graphs are scanned: a disconnected non-circle graph
-    has a non-circle component, which is a proper vertex minor.  Being
-    circle is an LC invariant (Bouchet, J. Combin. Theory Ser. B 60, 1994),
-    so each class is decided once, at its first key in the ascending walk:
-    LC keeps a graph connected on n vertices, so that key is the class's
-    least.  A non-circle class is an obstruction when every one-vertex
-    deletion of every member is circle.
+    has a non-circle component, which is a proper vertex minor.  A key
+    with a spare vertex (a pendant vertex or the higher of two twins)
+    takes the verdict of deleting it, rule (a) of is_circle_graph, so
+    its own graph is never labeled, and if circle it is skipped without
+    walking its class.  Being circle is an LC invariant (Bouchet,
+    J. Combin. Theory Ser. B 60, 1994), and so is having a spare
+    vertex: from four vertices on it is a split with a two-vertex side,
+    which LC keeps, and every connected graph on two or three vertices
+    has one.  So every member of that class is skipped the same way.
+    Every other class is walked from its first key in the ascending
+    walk, and its members are skipped.  LC keeps a graph connected on n
+    vertices, so that key is the class's least: each non-circle class
+    keeps the representative it had when every class was walked.  A
+    non-circle class is an obstruction when every one-vertex deletion
+    of every member is circle.
     """
     if max_n > OBSTRUCTION_GUARD:
         raise ValueError(f"obstruction search guard: over {OBSTRUCTION_GUARD} vertices")
@@ -523,6 +567,9 @@ def find_circle_obstructions(max_n: int) -> list[LoopedSimpleGraph]:
             if key in seen:
                 continue
             rep = graph_from_key(key)
+            spare = _spare_vertex(rep.adj)
+            if spare is not None and is_circle_graph(rep.delete_vertex(rep.labels[spare])):
+                continue
             cls = lc_orbit_keys(rep)
             seen |= cls
             if is_circle_graph(rep):

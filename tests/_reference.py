@@ -24,7 +24,12 @@ with the uncached chord-word search.  lc_orbit_keys_ref complements at
 every vertex, so it checks the no-op skip of lc_orbit_keys.
 connected_graph_keys_ref labels every one-vertex extension with the
 library's canonical search and has no canonical-deletion filter, so it
-checks the filtered enumeration.  simple_graph_key_ref and
+checks the filtered enumeration.  canon_key_ref is the canonical
+labeling search as it was before its colour refinement stopped at the
+first round that splits no cell or at a discrete partition, each
+refinement running until a round changes no colour; it works on
+adjacency bitmasks, because the keys it pins are the library's.
+simple_graph_key_ref and
 is_ribbon_graphic_ref are the ribbon-graphic path that builds every
 minor with three_minor, twists it onto its least feasible set and
 reconstructs its matrix, against which the graph read off each leaf is
@@ -450,6 +455,54 @@ def connected_graph_keys_ref(n: int) -> tuple:
             adj = [parent.adj[i] | ((nb >> i & 1) << (n - 1)) for i in range(n - 1)]
             found.add(_canon_key_raw(n, adj + [nb], 0))
     return tuple(sorted(found))
+
+
+def canon_key_ref(n: int, adj: Sequence[int], loops: int) -> GraphKey:
+    """The canonical key of the looped graph: the least (loop bits,
+    adjacency bits) over the leaves of an individualization-refinement
+    search whose refinement runs until a round changes no colour."""
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            sig = []
+            for v in range(n):
+                nb = sorted(colors[u] for u in range(n) if adj[v] >> u & 1)
+                sig.append((colors[v], tuple(nb)))
+            remap = {s: i for i, s in enumerate(sorted(set(sig)))}
+            new = [remap[s] for s in sig]
+            if new == colors:
+                return colors
+            colors = new
+
+    def homogeneous(cell: list[int]) -> bool:
+        cellmask = sum(1 << v for v in cell)
+        if len({adj[v] & ~cellmask for v in cell}) > 1:
+            return False
+        inner = [adj[v] & cellmask for v in cell]
+        return all(m == 0 for m in inner) or all(inner[k] == cellmask ^ (1 << v) for k, v in enumerate(cell))
+
+    leaves = []
+
+    def rec(colors: list[int]) -> None:
+        colors = refine(colors)
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1 and not homogeneous(cells[c])), None)
+        if target is None:
+            order = sorted(range(n), key=lambda v: (colors[v], v))
+            lk = sum(1 << i for i in range(n) if loops >> order[i] & 1)
+            pairs = [(i, j) for i in range(n) for j in range(i)]
+            ak = sum(1 << idx for idx, (i, j) in enumerate(pairs) if adj[order[i]] >> order[j] & 1)
+            leaves.append((lk, ak))
+            return
+        for v in target:
+            rec([colors[u] * 2 + (0 if u == v else 1) for u in range(n)])
+
+    init = [(loops >> v & 1, adj[v].bit_count()) for v in range(n)]
+    remap = {s: i for i, s in enumerate(sorted(set(init)))}
+    rec([remap[s] for s in init])
+    return (n, *min(leaves))
 
 
 def simple_graph_key_ref(system: SetSystem):

@@ -27,6 +27,7 @@ from deltamatroids.setsystem import SetSystem, canonical_key
 
 from _reference import (
     all_double_occurrence_words,
+    canon_key_ref,
     chord_diagram_words,
     circle_obstructions_ref,
     circle_word_search_ref,
@@ -64,7 +65,19 @@ def random_loopless(rng, n):
             if rng.getrandbits(1):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return LoopedSimpleGraph(tuple("abcdefg"[:n]), tuple(adj), 0)
+    return LoopedSimpleGraph(tuple("abcdefghi"[:n]), tuple(adj), 0)
+
+
+def permuted(g, perm):
+    """g with vertex i moved to position perm[i], loops included; the
+    labels stay in place."""
+    adj = [0] * g.size
+    loops = 0
+    for i in range(g.size):
+        loops |= (g.loops >> i & 1) << perm[i]
+        for j in range(g.size):
+            adj[perm[i]] |= (g.adj[i] >> j & 1) << perm[j]
+    return LoopedSimpleGraph(g.labels, tuple(adj), loops)
 
 
 def every_loopless(n):
@@ -199,17 +212,25 @@ def test_canonical_key_invariant_under_relabeling():
             g = g.loop_toggle(rng.choice(g.labels))
         perm = list(range(n))
         rng.shuffle(perm)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if g.adj[i] >> j & 1:
-                    adj[perm[i]] |= 1 << perm[j]
-        loops = 0
-        for i in range(n):
-            if g.loops >> i & 1:
-                loops |= 1 << perm[i]
-        h = LoopedSimpleGraph(g.labels, tuple(adj), loops)
-        assert graph_canonical_key(g) == graph_canonical_key(h)
+        assert graph_canonical_key(g) == graph_canonical_key(permuted(g, perm))
+
+
+def test_canonical_key_matches_full_refinement():
+    """Stopping the refinement at a round that splits no cell, or at a
+    discrete partition, keeps every key: every labeled graph on at most
+    4 vertices under every loop mask, every labeled 5-vertex graph, and
+    6 000 seeded graphs on 6-9 vertices, every other one with a random
+    loop mask.  A refinement cut after its first round still gives
+    these keys up to 5 vertices, so the seeded graphs are what catch
+    it."""
+    cases = [(g, loops) for n in range(5) for g in every_loopless(n) for loops in range(1 << n)]
+    cases += [(g, 0) for g in every_loopless(5)]
+    rng = random.Random(37)
+    for k in range(6000):
+        g = random_loopless(rng, rng.randint(6, 9))
+        cases.append((g, rng.getrandbits(g.size) if k % 2 else 0))
+    for g, loops in cases:
+        assert graphs._canon_key_raw(g.size, g.adj, loops) == canon_key_ref(g.size, g.adj, loops), (g, loops)
 
 
 def test_connected_graph_counts():
@@ -347,12 +368,7 @@ def test_circle_oracle_matches_six_chord_diagrams():
     cases = [random_loopless(rng, 6) for _ in range(300)]
     for key in lc_orbit_keys(wheel(5)):
         base = graph_from_key(key)
-        for _ in range(30):
-            perm = rng.sample(range(6), 6)
-            adj = [0] * 6
-            for i, j in itertools.permutations(range(6), 2):
-                adj[perm[i]] |= (base.adj[i] >> j & 1) << perm[j]
-            cases.append(LoopedSimpleGraph(tuple("abcdef"), tuple(adj), 0))
+        cases += [permuted(base, rng.sample(range(6), 6)) for _ in range(30)]
     verdicts = collections.Counter(check_against_words(g, realizable) for g in cases)
     assert verdicts[False] >= 60 and verdicts[True] > 250
 
@@ -366,6 +382,96 @@ def test_circle_word_search_matches_reference():
             cases += [g, *(g.delete_vertex(v) for v in g.labels)]
     for g in cases:
         assert graphs._circle_word_search(g.size, g.adj) == circle_word_search_ref(g.size, g.adj)
+
+
+@pytest.fixture
+def cold_circle_caches(monkeypatch):
+    """Empty circle-verdict and canonical-key caches, so that each key's
+    verdict is derived inside the test, deletions and all."""
+    monkeypatch.setattr(graphs, "_circle_cache", {})
+    monkeypatch.setattr(graphs, "_graph_canon_cache", {})
+
+
+def search_verdict(g):
+    return circle_word_search_ref(g.size, g.adj) is not None
+
+
+def test_circle_recognition_matches_search_on_small_labeled_graphs(cold_circle_caches):
+    for n in range(6):
+        for g in every_loopless(n):
+            assert is_circle_graph(g) == search_verdict(g), g
+
+
+def verdicts_in_seeded_order(keys, rng):
+    """is_circle_graph on each key's graph in a seeded vertex order, so
+    that its key is searched for, checked against the plain search."""
+    verdicts = collections.Counter()
+    for key in keys:
+        g = graph_from_key(key)
+        verdict = is_circle_graph(permuted(g, rng.sample(range(g.size), g.size)))
+        assert verdict == search_verdict(g), key
+        verdicts[verdict] += 1
+    return verdicts
+
+
+def test_circle_recognition_matches_search_on_connected_keys(cold_circle_caches):
+    keys = [key for n in range(1, 8) for key in connected_graph_keys(n)]
+    verdicts = verdicts_in_seeded_order(keys, random.Random(41))
+    assert verdicts[False] > 50 and verdicts[True] > 800, verdicts
+
+
+def test_circle_recognition_matches_search_on_8_vertex_sample(cold_circle_caches):
+    verdicts = verdicts_in_seeded_order(connected_graph_keys(8)[::40], random.Random(43))
+    assert verdicts[False] > 40 and verdicts[True] > 150, verdicts
+
+
+def spare_vertices(g):
+    """The pendant vertices and the higher vertex of each pair of twins,
+    read off neighbour sets."""
+    nbrs = [set(g.subset_labels(row)) for row in g.adj]
+    return [
+        v for v, label in enumerate(g.labels)
+        if len(nbrs[v]) == 1 or any(nbrs[u] - {label} == nbrs[v] - {g.labels[u]} for u in range(v))
+    ]
+
+
+def with_spare(g, rng):
+    """g plus a vertex that is pendant on, a true twin of or a false twin
+    of a random vertex u of g."""
+    n = g.size
+    u = rng.randrange(n)
+    nb = rng.choice([1 << u, g.adj[u] | 1 << u, g.adj[u]])
+    adj = [row | (nb >> i & 1) << n for i, row in enumerate(g.adj)] + [nb]
+    return LoopedSimpleGraph(tuple("abcdefghi"[:n + 1]), tuple(adj), 0)
+
+
+def test_reduction_rules_hold_for_the_plain_search():
+    """By circle_word_search_ref alone: deleting a spare vertex (pendant,
+    or the higher of two twins) keeps the verdict, and a non-circle
+    deletion makes the graph non-circle.  Every labeled graph on at most
+    5 vertices, then seeded 6- and 7-vertex graphs, some of them a
+    random 5- or 6-vertex graph or a member of W5's LC class with a
+    spare vertex added."""
+    rng = random.Random(47)
+    cases = [g for n in range(6) for g in every_loopless(n)]
+    w5_class = [graph_from_key(key) for key in lc_orbit_keys(wheel(5))]
+    for _ in range(150):
+        cases.append(random_loopless(rng, rng.randint(6, 7)))
+        cases.append(with_spare(random_loopless(rng, rng.randint(5, 6)), rng))
+        cases.append(with_spare(permuted(rng.choice(w5_class), rng.sample(range(6), 6)), rng))
+    counts = collections.Counter()
+    for g in cases:
+        verdict = search_verdict(g)
+        deletions = [search_verdict(g.delete_vertex(v)) for v in g.labels]
+        spares = spare_vertices(g)
+        assert graphs._spare_vertex(g.adj) == (spares[0] if spares else None), g
+        assert all(deletions[v] == verdict for v in spares), g
+        assert all(deletions) or not verdict, g
+        if spares:
+            counts[verdict] += 1
+        if not all(deletions):
+            counts["a non-circle deletion"] += 1
+    assert min(counts[True], counts[False], counts["a non-circle deletion"]) >= 20, counts
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +574,32 @@ def test_find_circle_obstructions_small():
     found = find_circle_obstructions(6)
     assert len(found) == 1 and found[0].size == 6
     assert graph_canonical_key(wheel(5)) in lc_orbit_keys(found[0])
+
+
+def test_obstruction_search_walks_only_the_classes_that_need_it(monkeypatch, cold_circle_caches):
+    """find_circle_obstructions(7) walks exactly the LC classes that are
+    non-circle or have no spare vertex, each from its least key; having
+    a spare vertex is constant on every class."""
+    walked = []
+
+    def recording(g):
+        walked.append(graph_canonical_key(g))
+        return lc_orbit_keys(g)
+
+    monkeypatch.setattr(graphs, "lc_orbit_keys", recording)
+    assert [graph_canonical_key(g) for g in find_circle_obstructions(7)] == circle_obstructions_ref(7)
+    needed = []
+    for n in range(1, 8):
+        remaining = set(connected_graph_keys(n))
+        while remaining:
+            least = min(remaining)
+            cls = lc_orbit_keys(graph_from_key(least))
+            remaining -= cls
+            spare = {graphs._spare_vertex(graph_from_key(key).adj) is not None for key in cls}
+            assert len(spare) == 1, least
+            if spare == {False} or not search_verdict(graph_from_key(least)):
+                needed.append(least)
+    assert walked == needed
 
 
 def test_class_walk_matches_per_graph_derivation():
