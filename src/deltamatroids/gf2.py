@@ -54,8 +54,6 @@ def _principal_minors(rows: Sequence[int], k: int) -> int:
                 | (b & c ^ f) << 6 | (a & b & c ^ a & f ^ b & e ^ c & d) << 7)
     if k == 0:
         return 1
-    if k == 1:
-        return 1 | (rows[0] & 1) << 1
     i = k - 1
     bit = 1 << i
     pivot = rows[i]

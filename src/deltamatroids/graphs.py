@@ -151,11 +151,12 @@ class LoopedSimpleGraph(LabeledBits):
 # canonical labeling
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], int]:
-    """Colour refinement to the coarsest equitable partition below colors,
-    as dense ranks of (colour, sorted neighbour colours), and its cell
-    count.  A round that splits no cell reaches it, and so does a
-    discrete partition, as no later round can split a cell."""
+def _refine(n: int, adj: Sequence[int], colors: list) -> tuple[list[int], int]:
+    """Colour refinement to the coarsest equitable partition below colors
+    (any comparable values), as dense ranks of (colour, sorted neighbour
+    colours), and its cell count.  A round that splits no cell reaches
+    it, and so does a discrete partition, as no later round can split a
+    cell."""
     cells = len(set(colors))
     while True:
         sig = []
@@ -175,14 +176,13 @@ def _refine(n: int, adj: Sequence[int], colors: list[int]) -> tuple[list[int], i
         cells = len(remap)
 
 
-def _homogeneous(cell: Sequence[int], adj: Sequence[int], cellmask: int) -> bool:
-    ext = {adj[v] & ~cellmask for v in cell}
-    if len(ext) > 1:
+def _homogeneous(cell: Sequence[int], adj: Sequence[int]) -> bool:
+    """Is the cell empty or complete inside, with one neighbourhood outside?"""
+    cellmask = sum(1 << v for v in cell)
+    if len({adj[v] & ~cellmask for v in cell}) > 1:
         return False
     inner = [adj[v] & cellmask for v in cell]
-    if all(m == 0 for m in inner):
-        return True
-    return all(inner[k] == cellmask ^ (1 << v) for k, v in enumerate(cell))
+    return not any(inner) or all(m == cellmask ^ 1 << v for m, v in zip(inner, cell))
 
 
 GraphKey = tuple[int, int, int]  # (n, loop bits, upper-triangle adjacency bits)
@@ -207,57 +207,34 @@ def graph_canonical_key(graph: LoopedSimpleGraph) -> GraphKey:
 
 def _canon_key_raw(n: int, adj: Sequence[int], loops: int) -> GraphKey:
     """The unmemoized search; connected_graph_keys calls it directly, as its
-    one-vertex extensions are labeled graphs that never recur."""
-    best: tuple[int, int] | None = None
+    one-vertex extensions are labeled graphs that never recur.
 
-    def leaf(colors: list[int]) -> None:
-        nonlocal best
-        order = sorted(range(n), key=lambda v: (colors[v], v))
-        lk = 0
-        ak = 0
-        idx = 0
-        for i in range(n):
-            vi = order[i]
-            if loops >> vi & 1:
-                lk |= 1 << i
+    The key is the least (loop bits, adjacency bits) over the leaves of
+    search, from loop and degree colours.  search refines and splits the
+    first cell that is neither a singleton nor homogeneous, one child per
+    vertex; with none left, it orders the vertices by colour, and the
+    stable sort breaks ties in a homogeneous cell by vertex index.
+    """
+
+    def search(colors: list) -> tuple[int, int]:
+        colors, count = _refine(n, adj, colors)
+        cells: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        for cell in cells:
+            if len(cell) > 1 and not _homogeneous(cell, adj):
+                return min(search([2 * c + (u != v) for u, c in enumerate(colors)]) for v in cell)
+        order = sorted(range(n), key=colors.__getitem__)
+        lk = ak = idx = 0
+        for i, vi in enumerate(order):
+            lk |= (loops >> vi & 1) << i
             row = adj[vi]
             for j in range(i):
-                if row >> order[j] & 1:
-                    ak |= 1 << idx
+                ak |= (row >> order[j] & 1) << idx
                 idx += 1
-        key = (lk, ak)
-        if best is None or key < best:
-            best = key
+        return lk, ak
 
-    def rec(colors: list[int]) -> None:
-        colors, count = _refine(n, adj, colors)
-        if count == n:
-            leaf(colors)
-            return
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            cell = cells[c]
-            if len(cell) > 1:
-                cellmask = 0
-                for v in cell:
-                    cellmask |= 1 << v
-                if not _homogeneous(cell, adj, cellmask):
-                    target = cell
-                    break
-        if target is None:
-            leaf(colors)
-            return
-        for v in target:
-            rec([colors[u] * 2 + (0 if u == v else 1) for u in range(n)])
-
-    degrees = [m.bit_count() for m in adj]
-    init = [(loops >> v & 1, degrees[v]) for v in range(n)]
-    remap = {s: i for i, s in enumerate(sorted(set(init)))}
-    rec([remap[s] for s in init])
-    return (n, best[0], best[1])  # every search reaches a leaf, n = 0 included
+    return (n, *search([(loops >> v & 1, row.bit_count()) for v, row in enumerate(adj)]))
 
 
 def graph_from_key(key: GraphKey) -> LoopedSimpleGraph:
@@ -500,20 +477,17 @@ def lc_orbit_keys(graph: LoopedSimpleGraph) -> frozenset[GraphKey]:
     A local complementation at v changes nothing when v is isolated, or
     unlooped with one neighbour, so those children are not labeled."""
     seen = {graph_canonical_key(graph)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for key in frontier:
-            g = graph_from_key(key)
-            for i, v in enumerate(g.labels):
-                nb = g.adj[i]
-                if not nb or (not nb & (nb - 1) and not g.loops >> i & 1):
-                    continue
-                child_key = graph_canonical_key(g.local_complement(v))
-                if child_key not in seen:
-                    seen.add(child_key)
-                    nxt.append(child_key)
-        frontier = nxt
+    stack = list(seen)
+    while stack:
+        g = graph_from_key(stack.pop())
+        for i, v in enumerate(g.labels):
+            nb = g.adj[i]
+            if not nb or (not nb & (nb - 1) and not g.loops >> i & 1):
+                continue
+            child_key = graph_canonical_key(g.local_complement(v))
+            if child_key not in seen:
+                seen.add(child_key)
+                stack.append(child_key)
     return frozenset(seen)
 
 
