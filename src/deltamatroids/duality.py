@@ -105,10 +105,40 @@ def orbit(system: SetSystem, up_to_iso: bool = False) -> Orbit:
 
 
 # vf-safety is constant on a twisted-duality class, so one closure
-# answers for every member at once.  The key is the family's indicator
-# alone, not n: each twisted dual of S + loop is a twisted dual of S plus
-# a loop, coloop or free element; a direct sum has exchange iff both parts do.
+# answers for every member at once.  The cache holds the indicators of
+# the closure's normal members (the empty set feasible) only, and any
+# member S reaches one, S * min(S), by one twist.  n is not in the key:
+# the normal twists of S are S * F for F feasible, whatever n is, and
+# each twisted dual of S + loop is a twisted dual of S plus a loop,
+# coloop or free element; a direct sum has exchange iff both parts do.
 _vf_cache: dict[int, bool] = {}
+# M_i, the indicator of the subsets that avoid i, at ORBIT_GUARD elements:
+# its low 2^n bits are M_i at n elements, so it serves every n.
+_AVOID = _walk_plan(ORBIT_GUARD, None)[0]
+
+
+def _normal_key(system: SetSystem) -> int:
+    """The indicator v of S * min(S): the twist at i swaps v & M_i and
+    (v >> 2^i) & M_i."""
+    feasible = system.feasible
+    v = indicator(feasible)
+    low = feasible[0]
+    i = 0
+    while low:
+        if low & 1:
+            m = _AVOID[i]
+            v = (v & m) << (1 << i) | (v >> (1 << i)) & m
+        low >>= 1
+        i += 1
+    return v
+
+
+def _normal_twists(v: int, n: int) -> list[int]:
+    """The indicators of the 2^n twists of v that have the empty set feasible."""
+    twists = [v]
+    for i, m in enumerate(_AVOID[:n]):
+        twists += [(t & m) << (1 << i) | (t >> (1 << i)) & m for t in twists]
+    return [t for t in twists if t & 1]
 
 
 def is_vf_safe(system: SetSystem) -> bool:
@@ -116,13 +146,14 @@ def is_vf_safe(system: SetSystem) -> bool:
     if not system.is_proper:
         raise ValueError("vf-safety requires a proper system")
     _refuse_over_guard(system)  # before the key: an indicator has 2^n bits
-    key = indicator(system.feasible)
+    key = _normal_key(system)
     if key not in _vf_cache:
         states = _folded_states(system)  # twisting keeps exchange, so the states decide
-        members = {indicator(s.feasible) for s in states}
-        for i, m in enumerate(_walk_plan(system.size, None)[0]):  # the twist at i swaps two halves
-            members |= {(v & m) << (1 << i) | (v >> (1 << i)) & m for v in members}
-        _vf_cache.update(zip(members, repeat(all(map(is_delta_matroid_cached, states)))))
+        safe = all(map(is_delta_matroid_cached, states))
+        for s in states:
+            k = _normal_key(s)
+            if k not in _vf_cache:  # else its whole twist class is in
+                _vf_cache.update(zip(_normal_twists(k, system.size), repeat(safe)))
     return _vf_cache[key]
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Sequence
 
 from deltamatroids.duality import orbit, twisted_duals_wrt
@@ -89,16 +90,16 @@ def twist_ref(family, a: frozenset) -> frozenset:
 
 
 def loop_complement_ref(ground, family, a: frozenset) -> frozenset:
-    """Direct parity definition over all candidate subsets."""
-    out = []
-    for r in range(len(ground) + 1):
-        for cand in itertools.combinations(ground, r):
-            f = frozenset(cand)
-            lower = f - a
-            count = sum(1 for fp in family if lower <= fp <= f)
-            if count % 2 == 1:
-                out.append(f)
-    return frozenset(out)
+    """Direct parity definition, summed over the family: F is feasible iff
+    an odd number of feasible F' have F - A <= F' <= F, and the F that
+    one F' counts towards are F' | B for every B <= A - F'."""
+    parity = Counter()
+    for fp in family:
+        ups = [fp]
+        for e in a - fp:
+            ups += [f | {e} for f in ups]
+        parity.update(ups)
+    return frozenset(f for f, count in parity.items() if count % 2)
 
 
 def symmetric_exchange_ref(family) -> bool:

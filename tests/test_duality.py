@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +22,7 @@ from _reference import (
     family_of,
     labeled_closure_ref,
     loop_complement_ref,
+    make,
     orbit_up_to_iso_ref,
     symmetric_exchange_ref,
     to_sets,
@@ -102,9 +105,11 @@ def test_orbit_membership_symmetric():
         assert s.feasible in {m.feasible for m in orbit(t).members}
 
 
+@lru_cache(maxsize=1)
 def _closure_ref(system):
     """Feasible families reached from the system by single-element
-    twists and loop complementations, by definition on frozensets."""
+    twists and loop complementations, by definition on frozensets; the
+    last one is kept for a test that asks twice in a row."""
     ground, family = to_sets(system)
     seen = {family}
     frontier = [family]
@@ -118,7 +123,7 @@ def _closure_ref(system):
                         seen.add(child)
                         nxt.append(child)
         frontier = nxt
-    return seen
+    return frozenset(seen)
 
 
 def test_orbit_members_are_the_definitional_closure():
@@ -184,15 +189,16 @@ def test_vf_safe_caches_agree_with_the_definitional_closure(empty_vf_caches):
 
 
 def test_vf_cache_is_keyed_by_the_family_alone(empty_vf_caches):
-    """main-theorem on 3 elements fills one entry per proper system, and
-    the same family on 4 elements adds no entry and gets the same verdict."""
+    """main-theorem on 3 elements fills one entry per normal proper system
+    (the empty set feasible), a closure fills its normal members, and the
+    same family on 4 elements adds no entry and gets the same verdict."""
     assert verify_main_theorem(3).passed
-    assert len(duality._vf_cache) == 255
+    assert len(duality._vf_cache) == 128
     duality._vf_cache.clear()
     on3 = SetSystem(tuple("abc"), (0,))
     assert is_vf_safe(on3)
     filled = dict(duality._vf_cache)
-    assert len(filled) == orbit(on3).size
+    assert set(filled) == {indicator(m.feasible) for m in orbit(on3).members if m.feasible[0] == 0}
     assert is_vf_safe(SetSystem(tuple("abcd"), (0,)))
     assert duality._vf_cache == filled
 
@@ -212,10 +218,10 @@ def test_vf_safe_with_a_loop_label_agrees_with_each_ground_set(empty_vf_caches):
 
 
 def test_orbit_and_vf_cache_hold_the_six_word_closure(empty_vf_caches):
-    """orbit's members, in order, and the _vf_cache entries one is_vf_safe
-    call adds are the six-word closure of twisted_duals_wrt, on every
-    proper system with at most 3 elements and seeded 4-, 5- and 6-element
-    systems."""
+    """orbit's members, in order, are the six-word closure of
+    twisted_duals_wrt, and the _vf_cache entries one is_vf_safe call adds
+    are its normal members, on every proper system with at most 3
+    elements and seeded 4-, 5- and 6-element systems."""
     rng = random.Random(36)
     systems = [s for n in range(4) for s in all_proper(n, "abc")]
     systems += [random_proper(rng, n, min_n=n) for n, count in ((4, 40), (5, 6), (6, 2)) for _ in range(count)]
@@ -224,7 +230,60 @@ def test_orbit_and_vf_cache_hold_the_six_word_closure(empty_vf_caches):
         assert orbit(s).members == tuple(closure[f] for f in sorted(closure)), str(s)
         duality._vf_cache.clear()
         is_vf_safe(s)
-        assert set(duality._vf_cache) == {indicator(f) for f in closure}, str(s)
+        assert set(duality._vf_cache) == {indicator(f) for f in closure if f[0] == 0}, str(s)
+
+
+def test_a_non_normal_first_query_caches_the_normal_members_of_its_closure(empty_vf_caches):
+    """From empty caches, a first query on a system without the empty set
+    feasible gets the verdict of its definitional closure, and the cache
+    takes exactly the closure's normal members, every key with bit 0 set,
+    on every such proper system with at most 3 elements and on 40 seeded
+    4-element ones."""
+    rng = random.Random(39)
+    systems = [s for n in range(4) for s in all_proper(n, "abc") if s.feasible[0]]
+    systems += [SetSystem(tuple("abcd"), tuple(i for i in range(16) if bits >> i & 1))
+                for bits in (rng.randrange(2, 1 << 16, 2) for _ in range(40))]
+    verdicts, normal = {}, {}
+    for s in systems:
+        duality._vf_cache.clear()
+        exchange._se_cache.clear()
+        assert is_vf_safe(s) == _vf_safe_ref(s, verdicts), str(s)
+        assert all(k & 1 for k in duality._vf_cache), str(s)
+        key = (s.size, family_of(s))
+        if key not in normal:  # one closure per class
+            closure = _closure_ref(s)
+            keys = {indicator(make(s.labels, f).feasible) for f in closure if frozenset() in f}
+            normal.update(((s.size, f), keys) for f in closure)
+        assert set(duality._vf_cache) == normal[key], str(s)
+
+
+def test_a_miss_expands_each_twist_class_once(monkeypatch, empty_vf_caches):
+    """From an empty vf cache, one miss expands as many twist classes as
+    the folded states fall into, on every proper system with at most 3
+    elements and seeded 4-element ones; a closure member queried next
+    neither folds nor expands."""
+    calls = []
+    folded_states, normal_twists = duality._folded_states, duality._normal_twists
+
+    def recorded(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(duality, "_folded_states", recorded("fold", folded_states))
+    monkeypatch.setattr(duality, "_normal_twists", recorded("expand", normal_twists))
+    rng = random.Random(40)
+    systems = [s for n in range(4) for s in all_proper(n, "abc")]
+    systems += [random_proper(rng, 4, min_n=4) for _ in range(20)]
+    for s in systems:
+        subsets = [frozenset(c) for r in range(s.size + 1) for c in combinations(s.labels, r)]
+        classes = {frozenset(twist_ref(family_of(t), a) for a in subsets) for t in folded_states(s)}
+        duality._vf_cache.clear()
+        calls.clear()
+        is_vf_safe(s)
+        assert calls == ["fold"] + ["expand"] * len(classes), str(s)
+        member = orbit(s).members[-1]
+        calls.clear()
+        is_vf_safe(member)
+        assert not calls, str(s)
 
 
 def _fold_ref(system):
